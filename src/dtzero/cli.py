@@ -256,10 +256,14 @@ def _cmd_discrepancy(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
+    if args.max_n is not None and args.max_n < 0:
+        parser.error("--max-n must be non-negative")
     checks = run_suite(args.suite, args.max_n)
     failed = False
     for check in checks:
-        if check.ok:
+        if check.cases == 0:
+            print(f"SKIP\t{check.name}")
+        elif check.ok:
             print(f"PASS\t{check.name}")
         else:
             failed = True
@@ -313,7 +317,8 @@ def main(argv=None) -> int:
     except SpecDocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        # an unreadable spec file: missing, a directory, not UTF-8, ...
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NonIntegralSpecError as exc:

@@ -195,6 +195,44 @@ def partitions(n: int) -> tuple[SetPartition, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _down_sets(n: int) -> tuple[dict[SetPartition, int], tuple[tuple[int, ...], ...]]:
+    """The down-set table of partitions(n), built on first use.
+
+    Returns the index of each partition in partitions(n) and, for each
+    index, the indices of its strict refinements in rank order (ties
+    broken by block listing), so that every down-set lists each gamma after
+    all of gamma's own refinements.
+
+    The interval [0, beta] is the product of the lattices Pi_{|b|} over the
+    blocks b of beta (Rota 1964; Stanley, EC1 3.10), so each down-set is
+    enumerated blockwise from partitions(|b|), never by a pairwise scan.
+    The table holds one entry per related pair gamma <= beta: 2 471 at
+    n = 6, 19 302 at n = 7 and 167 894 at n = 8.
+    """
+    ps = partitions(n)
+    index = {p: i for i, p in enumerate(ps)}
+    by_labels = {p.labels(): i for i, p in enumerate(ps)}
+    order = sorted(range(len(ps)), key=lambda i: (ps[i].rank, _sort_key(ps[i])))
+    position = {i: at for at, i in enumerate(order)}
+    down = []
+    for i, beta in enumerate(ps):
+        blocks = [sorted(b) for b in beta.blocks]
+        choices = [[q.labels() for q in partitions(len(b))] for b in blocks]
+        below = []
+        for combo in product(*choices):
+            tagged = [None] * n
+            for tag, (elems, sub) in enumerate(zip(blocks, combo)):
+                for e, label in zip(elems, sub):
+                    tagged[e - 1] = (tag, label)
+            first: dict = {}
+            j = by_labels[tuple(first.setdefault(t, len(first)) for t in tagged)]
+            if j != i:
+                below.append(j)
+        down.append(tuple(sorted(below, key=position.__getitem__)))
+    return index, tuple(down)
+
+
 def alpha_factorial(p: SetPartition) -> int:
     """Product of the factorials of the block sizes."""
     out = 1
@@ -349,6 +387,27 @@ def in_discrepancy_set(a: SetPartition, b: SetPartition, x: PointConfig) -> bool
     )
 
 
+def _block_deviation_sq(block: frozenset[int], x: PointConfig) -> Fraction:
+    """Sum of squared deviations of a block's points from their mean."""
+    size = len(block)
+    if size == 1:
+        return Fraction(0)
+    mean = tuple(
+        sum((x.point(e)[axis] for e in block), Fraction(0)) / size for axis in range(3)
+    )
+    return sum((_dist_sq(x.point(e), mean) for e in block), Fraction(0))
+
+
+def _diagonal_distance_sq(p: SetPartition, x: PointConfig, memo: dict) -> Fraction:
+    """strict_diagonal_distance_sq with per-block values kept in `memo`."""
+    total = Fraction(0)
+    for b in p.blocks:
+        if b not in memo:
+            memo[b] = _block_deviation_sq(b, x)
+        total += memo[b]
+    return total
+
+
 def strict_diagonal_distance_sq(p: SetPartition, x: PointConfig) -> Fraction:
     """Squared Euclidean distance from x to the strict diagonal of p.
 
@@ -357,18 +416,7 @@ def strict_diagonal_distance_sq(p: SetPartition, x: PointConfig) -> Fraction:
     blockwise means.  Exact, and square-root free.
     """
     _check_config(p, x)
-    total = Fraction(0)
-    for b in p.blocks:
-        elems = sorted(b)
-        size = len(elems)
-        if size == 1:
-            continue
-        mean = tuple(
-            sum((x.point(e)[axis] for e in elems), Fraction(0)) / size for axis in range(3)
-        )
-        for e in elems:
-            total += _dist_sq(x.point(e), mean)
-    return total
+    return _diagonal_distance_sq(p, x, {})
 
 
 # ---------------------------------------------------------------------------
@@ -428,22 +476,30 @@ class EpsilonSchedule:
 def classify_q_set(alpha: SetPartition, x: PointConfig, eps: EpsilonSchedule) -> SetPartition:
     """The unique beta <= alpha whose Q-set contains x.
 
-    Candidates are the gamma <= alpha whose diagonal neighborhood contains
-    x (the bottom partition always qualifies); the answer is the unique
-    maximal candidate.  Several maximal candidates mean the schedule is
-    too loose for this configuration, which is an error, not a choice.
+    Candidates are the gamma in [0, alpha], read from the down-set table,
+    whose diagonal neighborhood contains x (the bottom partition always
+    qualifies); the answer is the unique maximal candidate.  Each block's
+    squared deviation is computed once per call and each radius once per
+    rank.  Several maximal candidates mean the schedule is too loose for
+    this configuration, which is an error, not a choice.
     """
     _check_config(alpha, x)
     if eps.n != alpha.n:
         raise ValueError("schedule and partition ground sets differ")
-    candidates = [
-        gamma
-        for gamma in partitions(alpha.n)
-        if gamma <= alpha and strict_diagonal_distance_sq(gamma, x) < eps.eps_sq(gamma)
-    ]
-    maximal = [
-        g for g in candidates if not any(g < h for h in candidates)
-    ]
+    ps = partitions(alpha.n)
+    index, down = _down_sets(alpha.n)
+    a = index[alpha]
+    deviations: dict[frozenset[int], Fraction] = {}
+    radii: dict[int, Fraction] = {}
+    candidates = []
+    for i in down[a] + (a,):
+        gamma = ps[i]
+        if gamma.rank not in radii:
+            radii[gamma.rank] = eps.eps_sq(gamma)
+        if _diagonal_distance_sq(gamma, x, deviations) < radii[gamma.rank]:
+            candidates.append(i)
+    covered = {j for i in candidates for j in down[i]}
+    maximal = [ps[i] for i in candidates if i not in covered]
     if len(maximal) != 1:
         found = ", ".join(repr(g) for g in sorted(maximal, key=_sort_key))
         raise InadmissibleScheduleError(
@@ -462,8 +518,11 @@ def delta_transform(alpha: SetPartition, values: Union[Mapping, Callable]) -> di
     interval below alpha.
 
     F may be a mapping or a callable defined on every beta <= alpha; the
-    values may live in any abelian group.  By construction the inverse
-    relation F(beta) = sum_{gamma <= beta} delta_gamma holds exactly.
+    values may live in any abelian group, since the recursion only
+    subtracts.  The interval [0, alpha] and each beta's strict refinements
+    come from the down-set table, in rank order.  By construction the
+    inverse relation F(beta) = sum_{gamma <= beta} delta_gamma holds
+    exactly.
     """
     if isinstance(values, Mapping):
         def fetch(p):
@@ -473,20 +532,16 @@ def delta_transform(alpha: SetPartition, values: Union[Mapping, Callable]) -> di
                 raise ValueError(f"F is not defined on {p!r}") from None
     else:
         fetch = values
-    interval = sorted(
-        (b for b in partitions(alpha.n) if b <= alpha),
-        key=lambda p: (p.rank, _sort_key(p)),
-    )
-    delta: dict[SetPartition, object] = {}
-    for beta in interval:
-        acc = fetch(beta)
-        for gamma in interval:
-            if gamma.rank >= beta.rank:
-                break
-            if gamma < beta:
-                acc = acc - delta[gamma]
-        delta[beta] = acc
-    return delta
+    ps = partitions(alpha.n)
+    index, down = _down_sets(alpha.n)
+    a = index[alpha]
+    delta: dict[int, object] = {}
+    for i in down[a] + (a,):
+        acc = fetch(ps[i])
+        for j in down[i]:
+            acc = acc - delta[j]
+        delta[i] = acc
+    return {ps[i]: value for i, value in delta.items()}
 
 
 def _ring_product(factors) -> object:

@@ -4,6 +4,7 @@ import pytest
 
 from dtzero import macmahon
 from dtzero.cli import SpecDocumentError, main, parse_spec_document
+from dtzero.verify import run_suite
 
 
 def run(capsys, *argv):
@@ -83,6 +84,22 @@ class TestErrorPaths:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "series", "--spec-file", "/nonexistent/x.json")
         assert code == 2
+
+    def test_directory_spec_file(self, tmp_path, capsys):
+        code, out, err = run(capsys, "series", "--spec-file", str(tmp_path), "--order", "2")
+        assert code == 2
+        assert out == ""
+        banner, *rest = err.splitlines()
+        assert len(rest) == 1 and rest[0].startswith("error:") and "Is a directory" in rest[0]
+
+    def test_spec_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"builtin": "P\u00b3"}'.encode("latin-1"))
+        code, out, err = run(capsys, "series", "--spec-file", str(path), "--order", "2")
+        assert code == 2
+        assert out == ""
+        banner, *rest = err.splitlines()
+        assert len(rest) == 1 and rest[0].startswith("error:") and "utf-8" in rest[0]
 
     def test_non_integral_spec_is_domain_error(self, tmp_path, capsys):
         path = tmp_path / "scaled.json"
@@ -165,6 +182,35 @@ class TestDiscrepancyCommand:
 
 
 class TestVerifyCommand:
+    def test_negative_max_n_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "macmahon", "--max-n", "-1"])
+        assert exc.value.code == 2
+        assert "--max-n must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite, skipped", [
+        ("lattice", {"lattice/meet-join-axioms", "lattice/fiber-multiplicity-sum",
+                     "lattice/moebius-top-value", "lattice/delta-inverts-summation",
+                     "lattice/delta-multiplicativity"}),
+        ("cobordism", {"cobordism/exponent-identity"}),
+        ("macmahon", {"macmahon/log-closed-form"}),
+        ("universality", {"universality/proportional-degrees",
+                          "universality/exponential-reconstruction"}),
+    ])
+    def test_zero_max_n_skips_empty_checks(self, capsys, suite, skipped):
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--max-n", "0")
+        assert code == 0
+        results = dict(line.split("\t")[::-1] for line in out.splitlines())
+        assert {name for name, status in results.items() if status == "SKIP"} == skipped
+        assert all(status in ("PASS", "SKIP") for status in results.values())
+
+    def test_check_case_counts(self):
+        counts = {check.name: check.cases for check in run_suite("cobordism", 7)}
+        assert counts["cobordism/exponent-identity"] == 7
+        assert counts["cobordism/determinant"] == 1
+        assert all(check.cases > 0 for check in run_suite("lattice", 3))
+
+
     def test_macmahon_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "macmahon", "--max-n", "8")
         assert code == 0
