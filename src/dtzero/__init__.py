@@ -5,122 +5,93 @@ MacMahon plane-partition function, Chern-number calculus for threefolds,
 the rank-three cobordism decomposition, and the set-partition lattice
 machinery (multiplicities, diagonal neighborhoods, discrepancy
 recursion) that organizes the series coefficients.
+
+The public names below load their submodule on first access (PEP 562),
+so a process that only needs the series never imports the lattice.
+Each access reads the submodule's current attribute and nothing is
+cached here, so a name patched in its submodule (by a test or a tracer)
+reads the same through the package, and reads the original once restored.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .series import OrderMismatchError, TruncatedSeries
-from .macmahon import (
-    DEFAULT_ORACLE_BOUND,
-    PlanePartition,
-    count_plane_partitions,
-    iter_plane_partitions,
-    log_macmahon_neg_coeffs,
-    macmahon_neg,
-    macmahon_series,
-    sigma2,
-)
-from .chern import (
-    BUILTIN_THREEFOLDS,
-    ChernNumbers,
-    ThreefoldSpec,
-    catalog,
-    chern_disjoint_union,
-    chern_of_hypersurface,
-    chern_of_projective_space_product,
-    chern_scale,
-    twist_class_monomials,
-    twist_exponent,
-)
-from .cobordism import (
-    CobordismDecomposition,
-    ExponentIdentityReport,
-    decompose,
-    generator_chern_numbers,
-    generator_determinant,
-    generator_matrix,
-    verify_exponent_identity,
-)
-from .lattice import (
-    EpsilonSchedule,
-    InadmissibleScheduleError,
-    PointConfig,
-    SetPartition,
-    alpha_factorial,
-    classify_q_set,
-    delta_transform,
-    fiber_multiplicity_sum,
-    in_discrepancy_set,
-    multiplicative_delta_property,
-    multiplicity,
-    partitions,
-    strict_diagonal_distance_sq,
-)
-from .dt import (
-    DEFAULT_ORDER,
-    DTSeries,
-    NonIntegralSpecError,
-    discrepancy_degrees,
-    dt_rational_power,
-    dt_series,
-    partition_product_sum,
-    reconstructed_coefficient,
-    verify_multiplicativity,
-    verify_root_argument,
-    verify_universality,
-)
+_SUBMODULE_EXPORTS = {
+    "series": ("OrderMismatchError", "TruncatedSeries"),
+    "macmahon": (
+        "DEFAULT_ORACLE_BOUND",
+        "PlanePartition",
+        "count_plane_partitions",
+        "iter_plane_partitions",
+        "log_macmahon_neg_coeffs",
+        "macmahon_neg",
+        "macmahon_series",
+        "sigma2",
+    ),
+    "chern": (
+        "BUILTIN_THREEFOLDS",
+        "ChernNumbers",
+        "ThreefoldSpec",
+        "catalog",
+        "chern_disjoint_union",
+        "chern_of_hypersurface",
+        "chern_of_projective_space_product",
+        "chern_scale",
+        "twist_class_monomials",
+        "twist_exponent",
+    ),
+    "cobordism": (
+        "CobordismDecomposition",
+        "ExponentIdentityReport",
+        "decompose",
+        "generator_chern_numbers",
+        "generator_determinant",
+        "generator_matrix",
+        "verify_exponent_identity",
+    ),
+    "lattice": (
+        "EpsilonSchedule",
+        "InadmissibleScheduleError",
+        "PointConfig",
+        "SetPartition",
+        "alpha_factorial",
+        "classify_q_set",
+        "delta_transform",
+        "fiber_multiplicity_sum",
+        "in_discrepancy_set",
+        "multiplicative_delta_property",
+        "multiplicity",
+        "partitions",
+        "strict_diagonal_distance_sq",
+    ),
+    "dt": (
+        "DEFAULT_ORDER",
+        "DTSeries",
+        "NonIntegralSpecError",
+        "discrepancy_degrees",
+        "dt_rational_power",
+        "dt_series",
+        "partition_product_sum",
+        "reconstructed_coefficient",
+        "verify_multiplicativity",
+        "verify_root_argument",
+        "verify_universality",
+    ),
+}
 
-__all__ = [
-    "__version__",
-    "BUILTIN_THREEFOLDS",
-    "ChernNumbers",
-    "CobordismDecomposition",
-    "DEFAULT_ORACLE_BOUND",
-    "DEFAULT_ORDER",
-    "DTSeries",
-    "EpsilonSchedule",
-    "ExponentIdentityReport",
-    "InadmissibleScheduleError",
-    "NonIntegralSpecError",
-    "OrderMismatchError",
-    "PlanePartition",
-    "PointConfig",
-    "SetPartition",
-    "ThreefoldSpec",
-    "TruncatedSeries",
-    "alpha_factorial",
-    "catalog",
-    "chern_disjoint_union",
-    "chern_of_hypersurface",
-    "chern_of_projective_space_product",
-    "chern_scale",
-    "classify_q_set",
-    "count_plane_partitions",
-    "decompose",
-    "delta_transform",
-    "discrepancy_degrees",
-    "dt_rational_power",
-    "dt_series",
-    "fiber_multiplicity_sum",
-    "generator_chern_numbers",
-    "generator_determinant",
-    "generator_matrix",
-    "in_discrepancy_set",
-    "iter_plane_partitions",
-    "log_macmahon_neg_coeffs",
-    "macmahon_neg",
-    "macmahon_series",
-    "multiplicative_delta_property",
-    "multiplicity",
-    "partition_product_sum",
-    "partitions",
-    "reconstructed_coefficient",
-    "sigma2",
-    "strict_diagonal_distance_sq",
-    "twist_class_monomials",
-    "twist_exponent",
-    "verify_exponent_identity",
-    "verify_multiplicativity",
-    "verify_root_argument",
-    "verify_universality",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {name: module for module, names in _SUBMODULE_EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *sorted(_EXPORTS)]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

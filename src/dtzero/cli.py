@@ -16,7 +16,6 @@ from . import __version__
 from .chern import BUILTIN_THREEFOLDS, ChernNumbers, ThreefoldSpec, twist_exponent
 from .cobordism import decompose, verify_exponent_identity
 from .dt import DEFAULT_ORDER, NonIntegralSpecError, discrepancy_degrees, dt_series
-from .verify import run_suite
 
 __all__ = ["main", "parse_spec_document", "SpecDocumentError"]
 
@@ -24,6 +23,14 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
+
+# Largest --order, and largest discrepancy --max-n (the truncation order of
+# the series whose logarithm gives the degrees): about 4 s for the quintic.
+MAX_ORDER = 400
+
+# Deepest nesting of disjoint_union and scaled in a spec document.  Building,
+# resolving and labelling a spec recurse once per level.
+MAX_SPEC_DEPTH = 100
 
 
 class SpecDocumentError(ValueError):
@@ -54,8 +61,13 @@ def _parse_factor(value, where: str) -> Fraction:
     raise SpecDocumentError(f"{where}: expected an integer or 'p/q' string, got {value!r}")
 
 
-def parse_spec_document(doc, where: str = "spec") -> ThreefoldSpec:
-    """Validate a JSON spec document and build the ThreefoldSpec it denotes."""
+def parse_spec_document(doc, where: str = "spec", depth: int = 0) -> ThreefoldSpec:
+    """Validate a JSON spec document and build the ThreefoldSpec it denotes.
+
+    `depth` counts the enclosing disjoint_union and scaled levels.
+    """
+    if depth > MAX_SPEC_DEPTH:
+        raise SpecDocumentError(f"{where}: specs nest deeper than {MAX_SPEC_DEPTH} levels")
     if not isinstance(doc, dict):
         raise SpecDocumentError(f"{where}: expected an object, got {type(doc).__name__}")
     if len(doc) != 1:
@@ -63,7 +75,7 @@ def parse_spec_document(doc, where: str = "spec") -> ThreefoldSpec:
         raise SpecDocumentError(f"{where}: expected exactly one of the spec keys, got {keys}")
     (key, value), = doc.items()
     if key == "builtin":
-        if value not in BUILTIN_THREEFOLDS:
+        if not isinstance(value, str) or value not in BUILTIN_THREEFOLDS:
             known = ", ".join(sorted(BUILTIN_THREEFOLDS))
             raise SpecDocumentError(f"{where}.builtin: unknown name {value!r}; known names: {known}")
         return ThreefoldSpec.builtin(value)
@@ -89,13 +101,14 @@ def parse_spec_document(doc, where: str = "spec") -> ThreefoldSpec:
     if key == "disjoint_union":
         if not isinstance(value, list):
             raise SpecDocumentError(f"{where}.disjoint_union: expected a list of specs")
-        parts = [parse_spec_document(part, f"{where}.disjoint_union[{i}]") for i, part in enumerate(value)]
+        parts = [parse_spec_document(part, f"{where}.disjoint_union[{i}]", depth + 1)
+                 for i, part in enumerate(value)]
         return ThreefoldSpec.disjoint_union(parts)
     if key == "scaled":
         if not isinstance(value, dict) or set(value) != {"factor", "of"}:
             raise SpecDocumentError(f"{where}.scaled: expected the keys factor and of")
         factor = _parse_factor(value["factor"], f"{where}.scaled.factor")
-        base = parse_spec_document(value["of"], f"{where}.scaled.of")
+        base = parse_spec_document(value["of"], f"{where}.scaled.of", depth + 1)
         return ThreefoldSpec.scaled(factor, base)
     raise SpecDocumentError(
         f"{where}: unknown spec key {key!r}; "
@@ -146,6 +159,8 @@ def _spec_from_args(args, parser: argparse.ArgumentParser) -> ThreefoldSpec:
             doc = json.load(handle)
         except json.JSONDecodeError as exc:
             raise SpecDocumentError(f"spec: invalid JSON: {exc}") from None
+        except RecursionError:
+            raise SpecDocumentError("spec: JSON nests too deeply to read") from None
     return parse_spec_document(doc)
 
 
@@ -175,6 +190,8 @@ def _decomposition_document(dec) -> dict:
 def _cmd_series(args, parser) -> int:
     if args.order < 0:
         parser.error("--order must be non-negative")
+    if args.order > MAX_ORDER:
+        parser.error(f"--order must be at most {MAX_ORDER}")
     spec = _spec_from_args(args, parser)
     chern = spec.resolve()
     _warn_chern(chern)
@@ -234,6 +251,8 @@ def _cmd_cobordism(args, parser) -> int:
 def _cmd_discrepancy(args, parser) -> int:
     if args.max_n < 1:
         parser.error("--max-n must be at least 1")
+    if args.max_n > MAX_ORDER:
+        parser.error(f"--max-n must be at most {MAX_ORDER}")
     spec = _spec_from_args(args, parser)
     chern = spec.resolve()
     _warn_chern(chern)
@@ -256,8 +275,13 @@ def _cmd_discrepancy(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
+    from .verify import max_n_limit, run_suite  # only this subcommand needs the suites
+
     if args.max_n is not None and args.max_n < 0:
         parser.error("--max-n must be non-negative")
+    limit = max_n_limit(args.suite)
+    if args.max_n is not None and args.max_n > limit:
+        parser.error(f"--max-n for suite {args.suite} must be at most {limit}")
     checks = run_suite(args.suite, args.max_n)
     failed = False
     for check in checks:
@@ -281,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_series = sub.add_parser("series", help="print exponent, cobordism data and series coefficients")
     _add_spec_arguments(p_series)
-    p_series.add_argument("--order", type=int, default=DEFAULT_ORDER, help="truncation order (default 20)")
+    p_series.add_argument("--order", type=int, default=DEFAULT_ORDER, help=f"truncation order (default 20, at most {MAX_ORDER})")
     p_series.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
     p_cob = sub.add_parser("cobordism", help="decompose over the three generators")
@@ -290,14 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_disc = sub.add_parser("discrepancy", help="per-size degrees extracted from the series")
     _add_spec_arguments(p_disc)
-    p_disc.add_argument("--max-n", type=int, default=7, help="largest block size (default 7)")
+    p_disc.add_argument("--max-n", type=int, default=7, help=f"largest block size (default 7, at most {MAX_ORDER})")
     p_disc.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
     p_verify = sub.add_parser("verify", help="run a self-check suite")
     p_verify.add_argument("--suite", required=True,
                           choices=("macmahon", "lattice", "cobordism", "universality", "all"))
     p_verify.add_argument("--max-n", type=int, default=None,
-                          help="size knob for the suite (per-suite default)")
+                          help="size knob for the suite (per-suite default and upper bound)")
 
     return parser
 

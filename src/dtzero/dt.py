@@ -14,7 +14,6 @@ from math import factorial
 from typing import Iterable, Mapping, Sequence
 
 from .chern import ChernNumbers, ThreefoldSpec, twist_exponent
-from .lattice import SetPartition, partitions
 from . import macmahon
 from .series import TruncatedSeries
 
@@ -170,6 +169,8 @@ def discrepancy_degrees(spec: ThreefoldSpec, n_max: int = 10) -> dict[int, int]:
 
 def partition_product_sum(t: Mapping[int, int], n: int):
     """sum over all set partitions of [n] of prod over blocks of t[|block|]."""
+    from .lattice import partitions  # only this function needs the lattice
+
     total = 0
     for alpha in partitions(n):
         term = 1

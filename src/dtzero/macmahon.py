@@ -140,14 +140,19 @@ def iter_plane_partitions(n: int, bound: int = DEFAULT_ORACLE_BOUND):
 
 
 def macmahon_series(order: int) -> TruncatedSeries:
-    """M(q) = prod_{n=1}^{order} (1-q^n)^(-n), truncated at the given order."""
+    """M(q) = prod_{n=1}^{order} (1-q^n)^(-n), truncated at the given order.
+
+    Dividing by (1-q^n) is the strided prefix sum a[k] += a[k-n]; the
+    product applies it n times for each n, in integers.
+    """
     if order < 0:
         raise ValueError("order must be non-negative")
-    result = TruncatedSeries.one(order)
+    a = [1] + [0] * order
     for n in range(1, order + 1):
-        factor = TruncatedSeries.one(order) - TruncatedSeries.monomial(1, n, order)
-        result = result * factor ** (-n)
-    return result
+        for _ in range(n):
+            for k in range(n, order + 1):
+                a[k] += a[k - n]
+    return TruncatedSeries(a)
 
 
 def macmahon_neg(order: int) -> TruncatedSeries:

@@ -25,7 +25,7 @@ from .lattice import (
     partitions,
 )
 
-__all__ = ["Check", "SUITES", "run_suite"]
+__all__ = ["Check", "MAX_N", "SUITES", "max_n_limit", "run_suite"]
 
 _SEED = 20080613
 
@@ -288,6 +288,18 @@ SUITES = {
     "cobordism": suite_cobordism,
     "universality": suite_universality,
 }
+
+
+# Largest --max-n each suite accepts.  The macmahon and lattice suites clamp
+# their exponential pieces themselves; cobordism runs one random trial per
+# unit (about 0.6 ms each) and universality extracts degrees up to the knob
+# for every catalog threefold (about 4 s at 200).
+MAX_N = {"macmahon": 10_000, "lattice": 10_000, "cobordism": 10_000, "universality": 200}
+
+
+def max_n_limit(name: str) -> int:
+    """The largest --max-n accepted by one suite, or by every suite for "all"."""
+    return min(MAX_N.values()) if name == "all" else MAX_N[name]
 
 
 def run_suite(name: str, max_n: int | None = None) -> list[Check]:

@@ -1,10 +1,12 @@
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from dtzero import macmahon
-from dtzero.cli import SpecDocumentError, main, parse_spec_document
-from dtzero.verify import run_suite
+from dtzero import BUILTIN_THREEFOLDS, ThreefoldSpec, macmahon
+from dtzero.cli import MAX_ORDER, MAX_SPEC_DEPTH, SpecDocumentError, main, parse_spec_document
+from dtzero.verify import MAX_N, max_n_limit, run_suite
 
 
 def run(capsys, *argv):
@@ -133,6 +135,73 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             main(["discrepancy", "--builtin", "P3", "--max-n", "0"])
         assert exc.value.code == 2
+
+    def test_spec_nested_too_deep_for_json(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"disjoint_union": [' * 5000 + '{"builtin": "P3"}' + ']}' * 5000)
+        code, out, err = run(capsys, "series", "--spec-file", str(path), "--order", "2")
+        assert code == 2
+        assert out == ""
+        banner, *rest = err.splitlines()
+        assert len(rest) == 1 and rest[0].startswith("error:") and "nests too deeply" in rest[0]
+
+    @pytest.mark.parametrize("kind", ["disjoint_union", "scaled"])
+    def test_spec_nesting_bound(self, tmp_path, capsys, kind):
+        def nested(depth):
+            doc = {"builtin": "P3"}
+            for _ in range(depth):
+                doc = {"disjoint_union": [doc]} if kind == "disjoint_union" else {"scaled": {"factor": 1, "of": doc}}
+            return doc
+
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(nested(MAX_SPEC_DEPTH)))
+        code, out, _ = run(capsys, "series", "--spec-file", str(path), "--order", "2", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["coefficients"] == [1, 20, 150]
+        path.write_text(json.dumps(nested(MAX_SPEC_DEPTH + 1)))
+        code, out, err = run(capsys, "series", "--spec-file", str(path), "--order", "2")
+        assert code == 2
+        assert out == ""
+        banner, *rest = err.splitlines()
+        assert len(rest) == 1 and rest[0].startswith("error:")
+        assert f"deeper than {MAX_SPEC_DEPTH} levels" in rest[0]
+
+
+def assert_one_error_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith(message)
+
+
+class TestSizeCaps:
+    def test_series_order_cap(self, capsys):
+        assert_one_error_line(capsys, ["series", "--builtin", "P3", "--order", str(MAX_ORDER + 1)],
+                              f"--order must be at most {MAX_ORDER}")
+
+    def test_series_order_at_cap_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "series", "--c111", "0", "--c12", "0", "--c3", "0",
+                           "--order", str(MAX_ORDER))
+        assert code == 0
+        assert len(out.splitlines()) == MAX_ORDER + 3
+
+    def test_discrepancy_max_n_cap(self, capsys):
+        assert_one_error_line(capsys, ["discrepancy", "--builtin", "P3", "--max-n", "100000"],
+                              f"--max-n must be at most {MAX_ORDER}")
+
+    @pytest.mark.parametrize("suite", [*MAX_N, "all"])
+    def test_verify_max_n_cap(self, capsys, suite):
+        limit = max_n_limit(suite)
+        assert_one_error_line(capsys, ["verify", "--suite", suite, "--max-n", str(limit + 1)],
+                              f"--max-n for suite {suite} must be at most {limit}")
+
+    def test_caps_admit_every_suite_default(self):
+        # the sizes each suite runs when --max-n is not given
+        defaults = {"macmahon": 12, "lattice": 5, "cobordism": 1000, "universality": 7}
+        assert all(MAX_N[suite] >= size for suite, size in defaults.items())
 
 
 class TestCobordismCommand:
@@ -269,8 +338,59 @@ class TestSpecDocumentParsing:
         with pytest.raises(SpecDocumentError, match="sum to 3"):
             parse_spec_document({"product": [2, 2]})
 
+    def test_builtin_name_must_be_a_string(self):
+        with pytest.raises(SpecDocumentError, match="unknown name"):
+            parse_spec_document({"builtin": ["P3"]})
+
     def test_scaled_factor_parsing(self):
         spec = parse_spec_document({"scaled": {"factor": "3/2", "of": {"builtin": "P3"}}})
         assert spec.resolve().c111 == 96
         with pytest.raises(SpecDocumentError, match="cannot parse"):
             parse_spec_document({"scaled": {"factor": "x", "of": {"builtin": "P3"}}})
+
+
+SPEC_KEYS = ["builtin", "chern", "hypersurface", "product", "disjoint_union", "scaled",
+             "c111", "c12", "c3", "degree", "factor", "of"]
+
+json_leaves = (
+    st.none() | st.booleans() | st.integers(-4, 4) | st.integers() | st.floats()
+    | st.text(max_size=4) | st.sampled_from([*BUILTIN_THREEFOLDS, "1/2", "0/0", "x"])
+)
+json_documents = st.recursive(
+    json_leaves,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(SPEC_KEYS) | st.text(max_size=3), children, max_size=3)
+    | st.dictionaries(st.sampled_from(SPEC_KEYS), children, min_size=1, max_size=1),
+    max_leaves=30,
+)
+WRAPPERS = [
+    lambda doc: {"disjoint_union": [doc]},
+    lambda doc: {"disjoint_union": [{"builtin": "P3"}, doc]},
+    lambda doc: {"scaled": {"factor": "1/2", "of": doc}},
+]
+
+
+@st.composite
+def deep_json_documents(draw):
+    """A spec, or arbitrary JSON, wrapped in one kind of spec level repeated
+    up to far past the depth bound (the stack would not hold the deepest)."""
+    doc = draw(st.sampled_from([{"builtin": "P3"}, {"product": [1, 2]}]) | json_documents)
+    wrap = draw(st.sampled_from(WRAPPERS))
+    bounds = [MAX_SPEC_DEPTH, MAX_SPEC_DEPTH + 1, 30 * MAX_SPEC_DEPTH]
+    for _ in range(draw(st.integers(0, 3) | st.sampled_from(bounds) | st.integers(0, 30 * MAX_SPEC_DEPTH))):
+        doc = wrap(doc)
+    return doc
+
+
+class TestSpecDocumentFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(deep_json_documents())
+    def test_parse_returns_a_spec_or_raises_schema_error(self, doc):
+        try:
+            spec = parse_spec_document(doc)
+        except SpecDocumentError:
+            return
+        assert isinstance(spec, ThreefoldSpec)
+        # whatever parses also resolves and labels without exhausting the stack
+        spec.resolve()
+        spec.label()

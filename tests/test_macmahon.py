@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from dtzero import (
+    DEFAULT_ORACLE_BOUND,
     PlanePartition,
     TruncatedSeries,
     count_plane_partitions,
@@ -15,6 +16,16 @@ from dtzero import (
 
 # A000219, confirmed below against the enumeration.
 KNOWN_COUNTS = [1, 1, 3, 6, 13, 24, 48, 86, 160, 282, 500]
+
+
+def product_oracle(order):
+    """prod (1-q^n)^(-n) through the series ring's inverse and power: slow,
+    and independent of the integer prefix sums in macmahon_series."""
+    result = TruncatedSeries.one(order)
+    for n in range(1, order + 1):
+        factor = TruncatedSeries.one(order) - TruncatedSeries.monomial(1, n, order)
+        result = result * factor ** (-n)
+    return result
 
 
 class TestOracle:
@@ -82,6 +93,20 @@ class TestSeries:
     def test_coefficients_positive(self):
         assert all(c > 0 for c in macmahon_series(12).coefficients)
 
+    def test_matches_enumeration_to_oracle_bound(self):
+        s = macmahon_series(DEFAULT_ORACLE_BOUND)
+        assert [s[n] for n in range(DEFAULT_ORACLE_BOUND + 1)] == [
+            count_plane_partitions(n) for n in range(DEFAULT_ORACLE_BOUND + 1)
+        ]
+
+    @pytest.mark.parametrize("order", range(26))
+    def test_matches_series_ring_product(self, order):
+        assert macmahon_series(order) == product_oracle(order)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            macmahon_series(-1)
+
     def test_neg_signs(self):
         assert [int(c) for c in macmahon_neg(4).coefficients] == [1, -1, 3, -6, 13]
 
@@ -105,6 +130,10 @@ class TestLogCoefficients:
         ells = log_macmahon_neg_coeffs(12)
         from_series = macmahon_neg(12).log1()
         assert all(from_series[k] == ells[k - 1] for k in range(1, 13))
+
+    def test_closed_form_holds_to_order_40(self):
+        ells = log_macmahon_neg_coeffs(40)
+        assert len(ells) == 40 and ells[39] == Fraction(sigma2(40), 40)
 
     def test_sigma2(self):
         assert [sigma2(k) for k in range(1, 7)] == [1, 5, 10, 21, 26, 50]
