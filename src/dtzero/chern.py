@@ -8,15 +8,13 @@ the splitting principle.  Integration means reading off the coefficient of
 the top monomial.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from ._values import Rational, _exact, _refuse_sequence_ops
 from .series import TruncatedSeries
-
-Rational = Union[int, Fraction]
 
 __all__ = [
     "BUILTIN_THREEFOLDS",
@@ -30,12 +28,6 @@ __all__ = [
     "twist_class_monomials",
     "twist_exponent",
 ]
-
-
-def _exact(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("floating point values are not allowed in exact Chern data")
-    return Fraction(value)
 
 
 def _tidy(value: Fraction):
@@ -182,21 +174,28 @@ def _to_elementary(poly: TruncatedPolynomial) -> dict[tuple[int, ...], Fraction]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChernNumbers:
+class _ChernFields(NamedTuple):
+    c111: Rational
+    c12: Rational
+    c3: Rational
+
+
+class ChernNumbers(_ChernFields):
     """The triple (c1^3, c1c2, c3) of a (weakly) complex threefold.
 
     Honest compact threefolds carry integers; rational cobordism
     combinations are allowed and flagged by is_integral().
     """
 
-    c111: Rational
-    c12: Rational
-    c3: Rational
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("c111", "c12", "c3"):
-            object.__setattr__(self, name, _tidy(_exact(getattr(self, name))))
+    def __new__(cls, c111: Rational, c12: Rational, c3: Rational):
+        return super().__new__(cls, _tidy(_exact(c111)), _tidy(_exact(c12)), _tidy(_exact(c3)))
+
+    @classmethod
+    def _make(cls, iterable) -> "ChernNumbers":
+        # the NamedTuple default skips __new__, and _replace builds through it
+        return cls(*iterable)
 
     def is_integral(self) -> bool:
         return all(isinstance(v, int) for v in (self.c111, self.c12, self.c3))
@@ -218,8 +217,10 @@ class ChernNumbers:
 
     def __add__(self, other: "ChernNumbers") -> "ChernNumbers":
         if not isinstance(other, ChernNumbers):
-            return NotImplemented
+            _refuse_sequence_ops(self, other)
         return chern_disjoint_union(self, other)
+
+    __radd__ = __mul__ = __rmul__ = _refuse_sequence_ops
 
 
 def chern_disjoint_union(a: ChernNumbers, b: ChernNumbers) -> ChernNumbers:
@@ -331,8 +332,7 @@ BUILTIN_THREEFOLDS: dict[str, tuple[str, object]] = {
 }
 
 
-@dataclass(frozen=True)
-class ThreefoldSpec:
+class ThreefoldSpec(NamedTuple):
     """A named threefold or constructor expression resolving to Chern numbers."""
 
     kind: str
@@ -343,6 +343,8 @@ class ThreefoldSpec:
     parts: tuple["ThreefoldSpec", ...] | None = None
     factor: Fraction | None = None
     base: "ThreefoldSpec | None" = None
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _refuse_sequence_ops
 
     @classmethod
     def builtin(cls, name: str) -> "ThreefoldSpec":

@@ -8,7 +8,7 @@ diagnostics and the version banner to stderr.  Exit codes: 0 success,
 """
 
 import argparse
-import json
+import re
 import sys
 from fractions import Fraction
 
@@ -28,9 +28,25 @@ EXIT_DOMAIN = 3
 # the series whose logarithm gives the degrees): about 4 s for the quintic.
 MAX_ORDER = 400
 
+# Largest |K| for the twist exponent K = c3 - c1c2 of a resolved spec.  At
+# this bound `series --order MAX_ORDER` still prints every coefficient: the
+# largest has about 3 900 digits, under Python's 4 300-digit limit for
+# converting an int to text.
+MAX_TWIST_EXPONENT = 10**12
+
+# Largest absolute value of each resolved Chern number c1^3, c1c2, c3.  It
+# keeps every figure derived from them short, and bounds --hypersurface-degree
+# at 1001 (the Chern numbers of a degree-d hypersurface grow like d^4).
+MAX_CHERN_NUMBER = 10**12
+
 # Deepest nesting of disjoint_union and scaled in a spec document.  Building,
 # resolving and labelling a spec recurse once per level.
 MAX_SPEC_DEPTH = 100
+
+# Most digits in a scaled factor, in an integer or in each of p and q of a
+# "p/q" string.
+MAX_FACTOR_DIGITS = 30
+_FACTOR_FORM = r"[+-]?([0-9]+)(?:/([0-9]+))?"
 
 
 class SpecDocumentError(ValueError):
@@ -52,11 +68,18 @@ def _parse_factor(value, where: str) -> Fraction:
     if isinstance(value, bool):
         raise SpecDocumentError(f"{where}: expected an integer or 'p/q' string, got {value!r}")
     if isinstance(value, int):
+        if abs(value) >= 10**MAX_FACTOR_DIGITS:
+            raise SpecDocumentError(f"{where}: an integer factor has at most {MAX_FACTOR_DIGITS} digits")
         return Fraction(value)
     if isinstance(value, str):
+        match = re.fullmatch(_FACTOR_FORM, value)
+        if match is None:
+            raise SpecDocumentError(f"{where}: cannot parse rational {value!r}; expected 'p' or 'p/q'")
+        if any(part is not None and len(part) > MAX_FACTOR_DIGITS for part in match.groups()):
+            raise SpecDocumentError(f"{where}: p and q have at most {MAX_FACTOR_DIGITS} digits each")
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError):
+        except ZeroDivisionError:
             raise SpecDocumentError(f"{where}: cannot parse rational {value!r}") from None
     raise SpecDocumentError(f"{where}: expected an integer or 'p/q' string, got {value!r}")
 
@@ -154,19 +177,42 @@ def _spec_from_args(args, parser: argparse.ArgumentParser) -> ThreefoldSpec:
         if args.hypersurface_degree < 1:
             parser.error("--hypersurface-degree must be positive")
         return ThreefoldSpec.hypersurface(args.hypersurface_degree)
+    import json  # only spec files and --format json need it
+
     with open(args.spec_file, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SpecDocumentError(f"spec: invalid JSON: {exc}") from None
-        except RecursionError:
-            raise SpecDocumentError("spec: JSON nests too deeply to read") from None
+        text = handle.read()
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # malformed, or an integer too long to convert
+        raise SpecDocumentError(f"spec: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise SpecDocumentError("spec: JSON nests too deeply to read") from None
     return parse_spec_document(doc)
 
 
-def _warn_chern(c: ChernNumbers) -> None:
-    for note in c.validation_warnings():
+def _honest_threefold(args, parser: argparse.ArgumentParser, needs: str) -> tuple[ThreefoldSpec, ChernNumbers]:
+    """The preamble shared by series, cobordism and discrepancy: the spec and
+    its Chern numbers, within the magnitude caps, warned about and integral.
+
+    `needs` ends the domain error raised for rational Chern numbers.
+    """
+    spec = _spec_from_args(args, parser)
+    chern = spec.resolve()
+    if any(abs(v) > MAX_CHERN_NUMBER for v in chern):
+        parser.error(f"the spec's Chern numbers must be at most {MAX_CHERN_NUMBER} in absolute value")
+    if abs(twist_exponent(chern)) > MAX_TWIST_EXPONENT:
+        parser.error(f"the spec's twist exponent |c3 - c1c2| must be at most {MAX_TWIST_EXPONENT}")
+    for note in chern.validation_warnings():
         print(f"warning: {note}", file=sys.stderr)
+    if not chern.is_integral():
+        raise NonIntegralSpecError(f"{spec.label()} resolves to rational Chern numbers; {needs}")
+    return spec, chern
+
+
+def _print_json(doc) -> None:
+    import json  # only spec files and --format json need it
+
+    print(json.dumps(doc))
 
 
 def _decomposition_document(dec) -> dict:
@@ -192,13 +238,7 @@ def _cmd_series(args, parser) -> int:
         parser.error("--order must be non-negative")
     if args.order > MAX_ORDER:
         parser.error(f"--order must be at most {MAX_ORDER}")
-    spec = _spec_from_args(args, parser)
-    chern = spec.resolve()
-    _warn_chern(chern)
-    if not chern.is_integral():
-        print(f"error: {spec.label()} resolves to rational Chern numbers; "
-              "the series needs an honest threefold", file=sys.stderr)
-        return EXIT_DOMAIN
+    spec, chern = _honest_threefold(args, parser, "the series needs an honest threefold")
     result = dt_series(spec, args.order)
     dec = decompose(chern)
     if args.format == "json":
@@ -209,7 +249,7 @@ def _cmd_series(args, parser) -> int:
             "cobordism": _decomposition_document(dec),
             "coefficients": list(result.coefficients()),
         }
-        print(json.dumps(doc))
+        _print_json(doc)
     else:
         print(f"# exponent\t{result.exponent}")
         print(f"# cobordism\tr1={dec.r1}\tr2={dec.r2}\tr3={dec.r3}\tm={dec.m}")
@@ -219,13 +259,7 @@ def _cmd_series(args, parser) -> int:
 
 
 def _cmd_cobordism(args, parser) -> int:
-    spec = _spec_from_args(args, parser)
-    chern = spec.resolve()
-    _warn_chern(chern)
-    if not chern.is_integral():
-        print(f"error: {spec.label()} resolves to rational Chern numbers; "
-              "decompose an honest threefold", file=sys.stderr)
-        return EXIT_DOMAIN
+    spec, chern = _honest_threefold(args, parser, "decompose an honest threefold")
     report = verify_exponent_identity(chern)
     if args.format == "json":
         doc = {
@@ -237,7 +271,7 @@ def _cmd_cobordism(args, parser) -> int:
                 "ok": report.ok,
             },
         }
-        print(json.dumps(doc))
+        _print_json(doc)
     else:
         dec = report.decomposition
         print(f"r1\t{dec.r1}")
@@ -253,13 +287,7 @@ def _cmd_discrepancy(args, parser) -> int:
         parser.error("--max-n must be at least 1")
     if args.max_n > MAX_ORDER:
         parser.error(f"--max-n must be at most {MAX_ORDER}")
-    spec = _spec_from_args(args, parser)
-    chern = spec.resolve()
-    _warn_chern(chern)
-    if not chern.is_integral():
-        print(f"error: {spec.label()} resolves to rational Chern numbers; "
-              "degrees need an honest threefold", file=sys.stderr)
-        return EXIT_DOMAIN
+    spec, chern = _honest_threefold(args, parser, "degrees need an honest threefold")
     degrees = discrepancy_degrees(spec, args.max_n)
     if args.format == "json":
         doc = {
@@ -267,7 +295,7 @@ def _cmd_discrepancy(args, parser) -> int:
             "exponent": twist_exponent(chern),
             "t": {str(k): v for k, v in degrees.items()},
         }
-        print(json.dumps(doc))
+        _print_json(doc)
     else:
         for k in sorted(degrees):
             print(f"{k}\t{degrees[k]}")
@@ -283,17 +311,21 @@ def _cmd_verify(args, parser) -> int:
     if args.max_n is not None and args.max_n > limit:
         parser.error(f"--max-n for suite {args.suite} must be at most {limit}")
     checks = run_suite(args.suite, args.max_n)
-    failed = False
-    for check in checks:
-        if check.cases == 0:
-            print(f"SKIP\t{check.name}")
-        elif check.ok:
-            print(f"PASS\t{check.name}")
-        else:
-            failed = True
-            detail = f": {check.detail}" if check.detail else ""
-            print(f"FAIL\t{check.name}{detail}")
-    return EXIT_FAILURE if failed else EXIT_OK
+    statuses = ["SKIP" if check.cases == 0 else "PASS" if check.ok else "FAIL" for check in checks]
+    if args.format == "json":
+        _print_json({
+            "suite": args.suite,
+            "max_n": args.max_n,
+            "checks": [
+                {"name": check.name, "status": status, "cases": check.cases, "detail": check.detail}
+                for check, status in zip(checks, statuses)
+            ],
+        })
+    else:
+        for check, status in zip(checks, statuses):
+            detail = f": {check.detail}" if status == "FAIL" and check.detail else ""
+            print(f"{status}\t{check.name}{detail}")
+    return EXIT_FAILURE if "FAIL" in statuses else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,6 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=("macmahon", "lattice", "cobordism", "universality", "all"))
     p_verify.add_argument("--max-n", type=int, default=None,
                           help="size knob for the suite (per-suite default and upper bound)")
+    p_verify.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
     return parser
 

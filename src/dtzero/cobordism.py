@@ -6,12 +6,13 @@ exact 3x3 linear solve.  The module also checks the exponent identity
 that the decomposition must satisfy for the twisted tangent class.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from typing import NamedTuple
 
 from .chern import ChernNumbers, chern_of_projective_space_product, twist_exponent
+from ._values import _refuse_sequence_ops
 
 __all__ = [
     "GENERATOR_DIMS",
@@ -67,8 +68,7 @@ def generator_determinant() -> int:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-@dataclass(frozen=True)
-class CobordismDecomposition:
+class CobordismDecomposition(NamedTuple):
     """Rational coefficients (r1, r2, r3) over the generators, with m the
     least common denominator, so that m*X ~ m1*Y1 + m2*Y2 + m3*Y3."""
 
@@ -76,6 +76,8 @@ class CobordismDecomposition:
     r2: Fraction
     r3: Fraction
     m: int
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _refuse_sequence_ops
 
     @property
     def coefficients(self) -> tuple[Fraction, Fraction, Fraction]:
@@ -107,14 +109,15 @@ def decompose(c: ChernNumbers) -> CobordismDecomposition:
     return CobordismDecomposition(*solution, m=m)
 
 
-@dataclass(frozen=True)
-class ExponentIdentityReport:
+class ExponentIdentityReport(NamedTuple):
     """Both sides of m*K(X) = sum_i m_i*K(Y_i) for the twist exponent K."""
 
     decomposition: CobordismDecomposition
     lhs: Fraction
     rhs: Fraction
     ok: bool
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _refuse_sequence_ops
 
 
 def verify_exponent_identity(c: ChernNumbers) -> ExponentIdentityReport:

@@ -7,14 +7,14 @@ the series from its m-th power, the per-size degrees extracted through
 the series logarithm, and their universality across threefolds.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .chern import ChernNumbers, ThreefoldSpec, twist_exponent
+from .chern import ThreefoldSpec, twist_exponent
 from . import macmahon
+from ._values import _refuse_sequence_ops
 from .series import TruncatedSeries
 
 __all__ = [
@@ -42,19 +42,30 @@ class NonIntegralSpecError(ValueError):
     cobordism combination rather than an honest threefold."""
 
 
-@dataclass(frozen=True)
-class DTSeries:
-    """The generating function of a threefold together with its exponent."""
-
+class _DTSeriesFields(NamedTuple):
     series: TruncatedSeries
     exponent: int
     source: ThreefoldSpec
 
-    def __post_init__(self):
-        if self.series[0] != 1:
+
+class DTSeries(_DTSeriesFields):
+    """The generating function of a threefold together with its exponent."""
+
+    __slots__ = ()
+
+    def __new__(cls, series: TruncatedSeries, exponent: int, source: ThreefoldSpec):
+        if series[0] != 1:
             raise ValueError("a DT series must have constant coefficient 1")
-        if not self.series.is_integral():
+        if not series.is_integral():
             raise ValueError("a DT series must have integer coefficients")
+        return super().__new__(cls, series, exponent, source)
+
+    @classmethod
+    def _make(cls, iterable) -> "DTSeries":
+        # the NamedTuple default skips __new__, and _replace builds through it
+        return cls(*iterable)
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _refuse_sequence_ops
 
     @property
     def order(self) -> int:
@@ -100,12 +111,13 @@ def dt_rational_power(spec: ThreefoldSpec, order: int = DEFAULT_ORDER) -> tuple[
     return series, exponent
 
 
-@dataclass(frozen=True)
-class MultiplicativityReport:
+class MultiplicativityReport(NamedTuple):
     union: DTSeries
     left: DTSeries
     right: DTSeries
     ok: bool
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _refuse_sequence_ops
 
 
 def verify_multiplicativity(a: ThreefoldSpec, b: ThreefoldSpec, order: int = DEFAULT_ORDER) -> MultiplicativityReport:
@@ -117,13 +129,14 @@ def verify_multiplicativity(a: ThreefoldSpec, b: ThreefoldSpec, order: int = DEF
     return MultiplicativityReport(union=union, left=left, right=right, ok=ok)
 
 
-@dataclass(frozen=True)
-class RootArgumentReport:
+class RootArgumentReport(NamedTuple):
     power: TruncatedSeries
     root: TruncatedSeries
     expected: DTSeries
     root_is_integral: bool
     ok: bool
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _refuse_sequence_ops
 
 
 def verify_root_argument(spec: ThreefoldSpec, m: int, order: int = DEFAULT_ORDER) -> RootArgumentReport:
@@ -189,13 +202,14 @@ def reconstructed_coefficient(t: Mapping[int, int], n: int) -> Fraction:
     return Fraction(partition_product_sum(t, n), factorial(n))
 
 
-@dataclass(frozen=True)
-class UniversalityReport:
+class UniversalityReport(NamedTuple):
     lambdas: dict[int, int]
     exponents: dict[str, int]
     degrees: dict[str, dict[int, int]]
     failures: tuple[str, ...]
     ok: bool
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _refuse_sequence_ops
 
 
 def verify_universality(specs: Sequence[ThreefoldSpec], n_max: int = 7) -> UniversalityReport:

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from typing import Callable, Iterable, Mapping, Union
 
-Rational = Union[int, Fraction]
+from ._values import Rational, _exact
 
 __all__ = [
     "EpsilonSchedule",
@@ -39,12 +39,6 @@ __all__ = [
 class InadmissibleScheduleError(ValueError):
     """The epsilon schedule is too loose for the configuration: the deepest
     diagonal neighborhood containing the point is not unique."""
-
-
-def _exact(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("floating point coordinates are not allowed")
-    return Fraction(value)
 
 
 # ---------------------------------------------------------------------------

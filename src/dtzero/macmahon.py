@@ -6,10 +6,11 @@ and is deliberately independent of the product formula, so the two can
 check each other.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
+from ._values import _refuse_sequence_ops
 from .series import TruncatedSeries
 
 __all__ = [
@@ -28,15 +29,18 @@ __all__ = [
 DEFAULT_ORACLE_BOUND = 20
 
 
-@dataclass(frozen=True)
-class PlanePartition:
+class _PlanePartitionFields(NamedTuple):
+    rows: tuple[tuple[int, ...], ...]
+
+
+class PlanePartition(_PlanePartitionFields):
     """A finite stack of rows of positive heights, weakly decreasing along
     rows and down columns (a 3D Young diagram)."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
+    def __new__(cls, rows):
+        rows = tuple(tuple(int(v) for v in row) for row in rows)
         for row in rows:
             if not row:
                 raise ValueError("rows must be non-empty")
@@ -49,7 +53,14 @@ class PlanePartition:
                 raise ValueError("row lengths must weakly decrease")
             if any(lower[j] > upper[j] for j in range(len(lower))):
                 raise ValueError("heights must weakly decrease down columns")
-        object.__setattr__(self, "rows", rows)
+        return super().__new__(cls, rows)
+
+    @classmethod
+    def _make(cls, iterable) -> "PlanePartition":
+        # the NamedTuple default skips __new__, and _replace builds through it
+        return cls(*iterable)
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _refuse_sequence_ops
 
     def size(self) -> int:
         return sum(sum(row) for row in self.rows)

@@ -8,21 +8,15 @@ fresh series.
 """
 
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
-Rational = Union[int, Fraction]
+from ._values import Rational, _exact
 
 __all__ = ["TruncatedSeries", "OrderMismatchError"]
 
 
 class OrderMismatchError(ValueError):
     """Two series of different truncation orders were combined."""
-
-
-def _exact(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("floating point coefficients are not allowed in an exact series")
-    return Fraction(value)
 
 
 class TruncatedSeries:

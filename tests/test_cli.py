@@ -1,11 +1,21 @@
 import json
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from dtzero import BUILTIN_THREEFOLDS, ThreefoldSpec, macmahon
-from dtzero.cli import MAX_ORDER, MAX_SPEC_DEPTH, SpecDocumentError, main, parse_spec_document
+from dtzero.cli import (
+    MAX_CHERN_NUMBER,
+    MAX_FACTOR_DIGITS,
+    MAX_ORDER,
+    MAX_SPEC_DEPTH,
+    MAX_TWIST_EXPONENT,
+    SpecDocumentError,
+    main,
+    parse_spec_document,
+)
 from dtzero.verify import MAX_N, max_n_limit, run_suite
 
 
@@ -203,6 +213,79 @@ class TestSizeCaps:
         defaults = {"macmahon": 12, "lattice": 5, "cobordism": 1000, "universality": 7}
         assert all(MAX_N[suite] >= size for suite, size in defaults.items())
 
+    @pytest.mark.parametrize("command", ["series", "cobordism", "discrepancy"])
+    def test_twist_exponent_cap(self, capsys, command):
+        # each Chern number within its cap, K = c3 - c1c2 one past its own
+        half = MAX_TWIST_EXPONENT // 2
+        assert_one_error_line(capsys, [command, "--c111", "0", "--c12", str(-half), "--c3", str(half + 1)],
+                              f"|c3 - c1c2| must be at most {MAX_TWIST_EXPONENT}")
+
+    def test_twist_exponent_at_cap_is_accepted(self, capsys):
+        half = MAX_TWIST_EXPONENT // 2
+        code, out, _ = run(capsys, "series", "--c111", "0", "--c12", str(-half), "--c3", str(half),
+                           "--order", "2")
+        assert code == 0
+        assert out.splitlines()[0] == f"# exponent\t{MAX_TWIST_EXPONENT}"
+
+    def test_coefficients_at_the_caps_are_printable(self):
+        # |[q^n] M(-q)^K| <= [q^n] M(q)^|K|, which grows with |K|; the powers of
+        # M(q) follow n*b_n = K * sum_k sigma2(k) * b_(n-k) in integers
+        k_max, order = MAX_TWIST_EXPONENT, MAX_ORDER
+        sigma2 = [0] + [macmahon.sigma2(k) for k in range(1, order + 1)]
+        b = [1]
+        for n in range(1, order + 1):
+            b.append(k_max * sum(sigma2[k] * b[n - k] for k in range(1, n + 1)) // n)
+        assert max(b) < 10 ** 4300  # Python's default limit for converting an int to text
+
+    @pytest.mark.parametrize("command", ["series", "cobordism", "discrepancy"])
+    def test_chern_number_cap(self, capsys, command):
+        # c1^3 does not enter K, so only the Chern-number cap applies
+        assert_one_error_line(capsys, [command, "--c111", str(MAX_CHERN_NUMBER + 1), "--c12", "0", "--c3", "0"],
+                              f"Chern numbers must be at most {MAX_CHERN_NUMBER} in absolute value")
+        code, _, _ = run(capsys, command, "--c111", str(-MAX_CHERN_NUMBER), "--c12", "0", "--c3", "0")
+        assert code == 0
+
+    def test_huge_explicit_exponent(self, capsys):
+        # used to end in a traceback while printing a coefficient past 4300 digits
+        argv = ["series", "--c111", "0", "--c12", "0", "--c3", str(10**300), "--order", "20"]
+        assert_one_error_line(capsys, argv, f"Chern numbers must be at most {MAX_CHERN_NUMBER} in absolute value")
+
+    def test_hypersurface_degree_is_bounded(self, capsys):
+        # the Chern numbers of a degree-d hypersurface grow like d^4
+        code, _, _ = run(capsys, "series", "--hypersurface-degree", "1001", "--order", "1")
+        assert code == 0
+        assert_one_error_line(capsys, ["series", "--hypersurface-degree", "1002", "--order", "1"],
+                              f"Chern numbers must be at most {MAX_CHERN_NUMBER} in absolute value")
+        assert_one_error_line(capsys, ["series", "--hypersurface-degree", str(10**4000)],
+                              f"Chern numbers must be at most {MAX_CHERN_NUMBER} in absolute value")
+
+    @pytest.mark.parametrize("factor, message", [
+        ("1e100000", "cannot parse rational '1e100000'; expected 'p' or 'p/q'"),
+        ("1e10000000", "cannot parse rational '1e10000000'; expected 'p' or 'p/q'"),
+        ("2.5", "cannot parse rational '2.5'; expected 'p' or 'p/q'"),
+        ("1" * (MAX_FACTOR_DIGITS + 1), f"p and q have at most {MAX_FACTOR_DIGITS} digits each"),
+        ("1/" + "1" * (MAX_FACTOR_DIGITS + 1), f"p and q have at most {MAX_FACTOR_DIGITS} digits each"),
+        (10**MAX_FACTOR_DIGITS, f"an integer factor has at most {MAX_FACTOR_DIGITS} digits"),
+        ("1/0", "cannot parse rational '1/0'"),
+    ])
+    def test_scaled_factor_forms(self, tmp_path, capsys, factor, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"scaled": {"factor": factor, "of": {"builtin": "P3"}}}))
+        code, out, err = run(capsys, "cobordism", "--spec-file", str(path))
+        assert code == 2
+        assert out == ""
+        banner, *rest = err.splitlines()
+        assert rest == [f"error: spec.scaled.factor: {message}"]
+
+    def test_integer_too_long_for_json(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text('{"chern": {"c111": 0, "c12": 0, "c3": 1%s}}' % ("0" * 5000))
+        code, out, err = run(capsys, "series", "--spec-file", str(path))
+        assert code == 2
+        assert out == ""
+        banner, *rest = err.splitlines()
+        assert len(rest) == 1 and rest[0].startswith("error: spec: invalid JSON")
+
 
 class TestCobordismCommand:
     def test_quintic(self, capsys):
@@ -279,6 +362,43 @@ class TestVerifyCommand:
         assert counts["cobordism/determinant"] == 1
         assert all(check.cases > 0 for check in run_suite("lattice", 3))
 
+    def test_json_passing_suite(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "cobordism", "--max-n", "7", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["suite"] == "cobordism" and doc["max_n"] == 7
+        assert {c["name"]: (c["status"], c["cases"]) for c in doc["checks"]} == {
+            "cobordism/generator-columns": ("PASS", 1),
+            "cobordism/determinant": ("PASS", 1),
+            "cobordism/quintic-decomposition": ("PASS", 1),
+            "cobordism/exponent-identity": ("PASS", 7),
+        }
+
+    def test_json_reports_skips(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "lattice", "--max-n", "0", "--format", "json")
+        assert code == 0
+        statuses = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+        assert statuses["lattice/bell-counts"] == "PASS"
+        assert statuses["lattice/meet-join-axioms"] == "SKIP"
+
+    @pytest.mark.parametrize("suite, max_n", [("all", "0"), ("all", "3"), ("macmahon", None)])
+    def test_json_schema_matches_text(self, capsys, suite, max_n):
+        knob = [] if max_n is None else ["--max-n", max_n]
+        text_code, text, _ = run(capsys, "verify", "--suite", suite, *knob)
+        code, out, _ = run(capsys, "verify", "--suite", suite, *knob, "--format", "json")
+        assert code == text_code == 0
+        doc = json.loads(out)
+        assert out.count("\n") == 1
+        assert set(doc) == {"suite", "max_n", "checks"}
+        assert doc["max_n"] == (None if max_n is None else int(max_n))
+        for check in doc["checks"]:
+            assert set(check) == {"name", "status", "cases", "detail"}
+            assert check["status"] in ("PASS", "FAIL", "SKIP")
+            assert isinstance(check["cases"], int) and check["cases"] >= 0
+            assert check["detail"] == ""
+            assert (check["status"] == "SKIP") == (check["cases"] == 0)
+        assert [f"{c['status']}\t{c['name']}" for c in doc["checks"]] == text.splitlines()
+
 
     def test_macmahon_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "macmahon", "--max-n", "8")
@@ -315,6 +435,10 @@ class TestVerifyCommand:
         assert code == 1
         failing = [line for line in out.splitlines() if line.startswith("FAIL")]
         assert failing and "q^7" in failing[0]
+        code, out, _ = run(capsys, "verify", "--suite", "macmahon", "--max-n", "8", "--format", "json")
+        assert code == 1
+        failing = [c for c in json.loads(out)["checks"] if c["status"] == "FAIL"]
+        assert failing[0]["name"] == "macmahon/oracle-equivalence" and "q^7" in failing[0]["detail"]
 
 
 class TestSpecDocumentParsing:
@@ -345,6 +469,9 @@ class TestSpecDocumentParsing:
     def test_scaled_factor_parsing(self):
         spec = parse_spec_document({"scaled": {"factor": "3/2", "of": {"builtin": "P3"}}})
         assert spec.resolve().c111 == 96
+        longest = "9" * MAX_FACTOR_DIGITS
+        spec = parse_spec_document({"scaled": {"factor": f"-{longest}/{longest[1:]}7", "of": {"builtin": "P3"}}})
+        assert spec.factor == Fraction(-int(longest), int(longest[1:] + "7"))
         with pytest.raises(SpecDocumentError, match="cannot parse"):
             parse_spec_document({"scaled": {"factor": "x", "of": {"builtin": "P3"}}})
 

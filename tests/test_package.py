@@ -7,21 +7,40 @@ import pytest
 import dtzero
 
 
-def test_series_command_loads_neither_lattice_nor_verify():
+def modules_loaded_by_main(*argv):
+    """Run `cli.main(argv)` in a fresh interpreter; its stdout and the names
+    of the dtzero, dataclasses and json modules it loaded."""
     code = (
         "import sys\n"
         "from dtzero.cli import main\n"
-        "assert main(['series', '--builtin', 'P3', '--order', '2']) == 0\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('dtzero'))), file=sys.stderr)\n"
+        f"assert main({list(argv)!r}) == 0\n"
+        "wanted = ('dtzero', 'dataclasses', 'json')\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith(wanted))), file=sys.stderr)\n"
     )
     src = os.path.dirname(os.path.dirname(dtzero.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "2\t150"
-    loaded = set(done.stderr.splitlines()[-1].split())
+    return done.stdout, set(done.stderr.splitlines()[-1].split())
+
+
+def test_series_command_loads_neither_lattice_nor_verify():
+    out, loaded = modules_loaded_by_main("series", "--builtin", "P3", "--order", "2")
+    assert out.splitlines()[-1] == "2\t150"
     assert "dtzero.dt" in loaded and "dtzero.cobordism" in loaded
     assert "dtzero.lattice" not in loaded
     assert "dtzero.verify" not in loaded
+    # the series-path records are NamedTuples, and json is for spec files and --format json
+    assert "dataclasses" not in loaded
+    assert "json" not in loaded
+
+
+def test_spec_file_loads_json_but_not_dataclasses(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text('{"disjoint_union": [{"builtin": "P3"}, {"product": [2, 1]}]}')
+    out, loaded = modules_loaded_by_main("series", "--spec-file", str(path), "--order", "1")
+    assert out.splitlines()[0] == "# exponent\t-38"
+    assert "json" in loaded
+    assert "dataclasses" not in loaded
 
 
 def test_star_import_binds_every_public_name():
