@@ -17,6 +17,13 @@ def _exact(value) -> Fraction:
     return Fraction(value)
 
 
+def _json_number(value):
+    """Exact rationals for JSON: plain ints stay ints, fractions become 'p/q'."""
+    if isinstance(value, Fraction):
+        return int(value) if value.denominator == 1 else str(value)
+    return value
+
+
 def _refuse_sequence_ops(self, other):
     """`+` and `*` for the package's NamedTuple records, which are values:
     without this, tuple concatenation and repetition would answer silently."""

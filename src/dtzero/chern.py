@@ -5,26 +5,30 @@ symbolically: cohomology of a product of projective spaces is modelled as
 a truncated polynomial ring, hypersurfaces in P^4 go through a one-variable
 truncation, and the tangent-twist exponent is expanded from Chern roots by
 the splitting principle.  Integration means reading off the coefficient of
-the top monomial.
+the top monomial.  Threefold specs are parsed from JSON documents, resolved,
+labelled and written back through SPEC_KINDS, one entry per kind of spec.
 """
 
+import re
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from ._values import Rational, _exact, _refuse_sequence_ops
+from ._values import Rational, _exact, _json_number, _refuse_sequence_ops
 from .series import TruncatedSeries
 
 __all__ = [
     "BUILTIN_THREEFOLDS",
     "ChernNumbers",
+    "SpecDocumentError",
     "ThreefoldSpec",
     "catalog",
     "chern_disjoint_union",
     "chern_of_hypersurface",
     "chern_of_projective_space_product",
     "chern_scale",
+    "parse_spec_document",
     "twist_class_monomials",
     "twist_exponent",
 ]
@@ -318,123 +322,225 @@ def chern_of_hypersurface(degree: int) -> ChernNumbers:
 
 
 # ---------------------------------------------------------------------------
-# threefold constructor expressions
+# threefold specs: one table entry per kind
 # ---------------------------------------------------------------------------
 
+# Deepest nesting of disjoint_union and scaled in a spec document.  Building,
+# resolving and labelling a spec recurse once per level.
+MAX_SPEC_DEPTH = 100
 
-# Builtin names resolve to constructor data, not to frozen triples, so that
-# every catalog value is produced by the symbolic engines above.
-BUILTIN_THREEFOLDS: dict[str, tuple[str, object]] = {
-    "P3": ("product", (3,)),
-    "P2xP1": ("product", (2, 1)),
-    "P1xP1xP1": ("product", (1, 1, 1)),
-    "quintic": ("hypersurface", 5),
+# Most digits in a scaled factor, in an integer or in each of p and q of a
+# "p/q" string.
+MAX_FACTOR_DIGITS = 30
+
+
+class SpecDocumentError(ValueError):
+    """A threefold spec document does not validate against the schema."""
+
+
+def _clip(text: str) -> str:
+    """`text` cut to 60 characters, so that an error line that echoes a value
+    or a key stays short however long that is."""
+    return text if len(text) <= 60 else text[:60] + "..."
+
+
+def _expect_int(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecDocumentError(f"{where}: expected an integer, got {_clip(repr(value))}")
+    return value
+
+
+def _parse_factor(value, where: str) -> Fraction:
+    if isinstance(value, int) and not isinstance(value, bool):
+        if abs(value) >= 10**MAX_FACTOR_DIGITS:
+            raise SpecDocumentError(f"{where}: an integer factor has at most {MAX_FACTOR_DIGITS} digits")
+        return Fraction(value)
+    if isinstance(value, str):
+        match = re.fullmatch(r"[+-]?([0-9]+)(?:/([0-9]+))?", value)
+        if match is None:
+            raise SpecDocumentError(f"{where}: cannot parse rational {_clip(repr(value))}; expected 'p' or 'p/q'")
+        if any(part is not None and len(part) > MAX_FACTOR_DIGITS for part in match.groups()):
+            raise SpecDocumentError(f"{where}: p and q have at most {MAX_FACTOR_DIGITS} digits each")
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise SpecDocumentError(f"{where}: cannot parse rational {_clip(repr(value))}") from None
+    raise SpecDocumentError(f"{where}: expected an integer or 'p/q' string, got {_clip(repr(value))}")
+
+
+def _parse_builtin(value, where: str, depth: int = 0) -> str:
+    if not isinstance(value, str) or value not in BUILTIN_THREEFOLDS:
+        known = ", ".join(sorted(BUILTIN_THREEFOLDS))
+        raise SpecDocumentError(f"{where}: unknown name {_clip(repr(value))}; known names: {known}")
+    return value
+
+
+def _parse_chern(value, where: str, depth: int) -> ChernNumbers:
+    if not isinstance(value, dict) or set(value) != set(ChernNumbers._fields):
+        raise SpecDocumentError(f"{where}: expected the keys c111, c12, c3")
+    return ChernNumbers(*(_expect_int(value[k], f"{where}.{k}") for k in ChernNumbers._fields))
+
+
+def _parse_hypersurface(value, where: str, depth: int) -> int:
+    if not isinstance(value, dict) or set(value) != {"degree"}:
+        raise SpecDocumentError(f"{where}: expected the key degree")
+    degree = _expect_int(value["degree"], f"{where}.degree")
+    if degree < 1:
+        raise SpecDocumentError(f"{where}.degree: must be positive, got {_clip(repr(degree))}")
+    return degree
+
+
+def _parse_product(value, where: str, depth: int) -> tuple[int, ...]:
+    if not isinstance(value, list) or not value:
+        raise SpecDocumentError(f"{where}: expected a non-empty list of dimensions")
+    dims = [_expect_int(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    if any(d < 1 for d in dims) or sum(dims) != 3:
+        raise SpecDocumentError(f"{where}: dimensions must be positive and sum to 3, got {_clip(repr(dims))}")
+    return tuple(dims)
+
+
+def _parse_union(value, where: str, depth: int) -> tuple["ThreefoldSpec", ...]:
+    if not isinstance(value, list):
+        raise SpecDocumentError(f"{where}: expected a list of specs")
+    return tuple(parse_spec_document(part, f"{where}[{i}]", depth + 1) for i, part in enumerate(value))
+
+
+def _parse_scaled(value, where: str, depth: int) -> tuple[Fraction, "ThreefoldSpec"]:
+    if not isinstance(value, dict) or set(value) != {"factor", "of"}:
+        raise SpecDocumentError(f"{where}: expected the keys factor and of")
+    factor = _parse_factor(value["factor"], f"{where}.factor")
+    return factor, parse_spec_document(value["of"], f"{where}.of", depth + 1)
+
+
+class _SpecKind(NamedTuple):
+    """One kind of spec.  `parse` takes the value under the kind's key in a
+    document, its path and the nesting depth; the others take the spec's value."""
+
+    parse: Callable
+    resolve: Callable
+    label: Callable
+    document: Callable
+
+
+# One entry per spec kind, keyed by the kind, which is also its key in a spec
+# document; error messages list the keys in this order.
+SPEC_KINDS: dict[str, _SpecKind] = {
+    "builtin": _SpecKind(
+        parse=_parse_builtin,
+        resolve=lambda name: BUILTIN_THREEFOLDS[name].resolve(),
+        label=lambda name: name,
+        document=lambda name: name,
+    ),
+    "chern": _SpecKind(
+        parse=_parse_chern,
+        resolve=lambda chern: chern,
+        label=lambda c: f"X({c.c111},{c.c12},{c.c3})",
+        document=lambda c: dict(zip(c._fields, c.as_integers())),
+    ),
+    "hypersurface": _SpecKind(
+        parse=_parse_hypersurface,
+        resolve=chern_of_hypersurface,
+        label=lambda degree: f"X{degree}<P4",
+        document=lambda degree: {"degree": degree},
+    ),
+    "product": _SpecKind(
+        parse=_parse_product,
+        resolve=chern_of_projective_space_product,
+        label=lambda dims: "x".join(f"P{d}" for d in dims),
+        document=list,
+    ),
+    "disjoint_union": _SpecKind(
+        parse=_parse_union,
+        resolve=lambda parts: reduce(chern_disjoint_union, (p.resolve() for p in parts), ChernNumbers(0, 0, 0)),
+        label=lambda parts: " + ".join(p.label() for p in parts) or "empty",
+        document=lambda parts: [p.to_document() for p in parts],
+    ),
+    "scaled": _SpecKind(
+        parse=_parse_scaled,
+        resolve=lambda scaled: chern_scale(scaled[0], scaled[1].resolve()),
+        label=lambda scaled: f"({scaled[0]})*{scaled[1].label()}",
+        document=lambda scaled: {"factor": _json_number(scaled[0]), "of": scaled[1].to_document()},
+    ),
 }
 
 
 class ThreefoldSpec(NamedTuple):
-    """A named threefold or constructor expression resolving to Chern numbers."""
+    """A named threefold or constructor expression resolving to Chern numbers:
+    a kind of SPEC_KINDS and its value, which is a builtin name, ChernNumbers,
+    a hypersurface degree, a tuple of product dimensions, a tuple of specs in
+    a disjoint union, or a scaled spec's (factor, base spec)."""
 
     kind: str
-    name: str | None = None
-    chern: ChernNumbers | None = None
-    dims: tuple[int, ...] | None = None
-    degree: int | None = None
-    parts: tuple["ThreefoldSpec", ...] | None = None
-    factor: Fraction | None = None
-    base: "ThreefoldSpec | None" = None
+    value: object
 
     __add__ = __radd__ = __mul__ = __rmul__ = _refuse_sequence_ops
 
     @classmethod
     def builtin(cls, name: str) -> "ThreefoldSpec":
-        if name not in BUILTIN_THREEFOLDS:
-            known = ", ".join(sorted(BUILTIN_THREEFOLDS))
-            raise ValueError(f"unknown builtin threefold {name!r}; known names: {known}")
-        return cls(kind="builtin", name=name)
+        return cls("builtin", _parse_builtin(name, "unknown builtin threefold"))
 
     @classmethod
     def explicit(cls, chern: ChernNumbers) -> "ThreefoldSpec":
-        return cls(kind="explicit", chern=chern)
+        return cls("chern", chern)
 
     @classmethod
     def product(cls, dims: Iterable[int]) -> "ThreefoldSpec":
-        return cls(kind="product", dims=tuple(int(d) for d in dims))
+        return cls("product", tuple(int(d) for d in dims))
 
     @classmethod
     def hypersurface(cls, degree: int) -> "ThreefoldSpec":
-        return cls(kind="hypersurface", degree=int(degree))
+        return cls("hypersurface", int(degree))
 
     @classmethod
     def disjoint_union(cls, parts: Iterable["ThreefoldSpec"]) -> "ThreefoldSpec":
-        return cls(kind="disjoint_union", parts=tuple(parts))
+        return cls("disjoint_union", tuple(parts))
 
     @classmethod
     def scaled(cls, factor: Rational, base: "ThreefoldSpec") -> "ThreefoldSpec":
-        return cls(kind="scaled", factor=_exact(factor), base=base)
+        return cls("scaled", (_exact(factor), base))
 
     def resolve(self) -> ChernNumbers:
         """Evaluate the constructor expression to a Chern triple."""
-        if self.kind == "builtin":
-            ctor, arg = BUILTIN_THREEFOLDS[self.name]
-            if ctor == "product":
-                return chern_of_projective_space_product(arg)
-            return chern_of_hypersurface(arg)
-        if self.kind == "explicit":
-            return self.chern
-        if self.kind == "product":
-            return chern_of_projective_space_product(self.dims)
-        if self.kind == "hypersurface":
-            return chern_of_hypersurface(self.degree)
-        if self.kind == "disjoint_union":
-            return reduce(chern_disjoint_union, (p.resolve() for p in self.parts), ChernNumbers(0, 0, 0))
-        if self.kind == "scaled":
-            return chern_scale(self.factor, self.base.resolve())
-        raise ValueError(f"unknown spec kind {self.kind!r}")
+        return SPEC_KINDS[self.kind].resolve(self.value)
 
     def is_integral(self) -> bool:
         return self.resolve().is_integral()
 
     def label(self) -> str:
-        if self.kind == "builtin":
-            return self.name
-        if self.kind == "explicit":
-            c = self.chern
-            return f"X({c.c111},{c.c12},{c.c3})"
-        if self.kind == "product":
-            return "x".join(f"P{d}" for d in self.dims)
-        if self.kind == "hypersurface":
-            return f"X{self.degree}<P4"
-        if self.kind == "disjoint_union":
-            if not self.parts:
-                return "empty"
-            return " + ".join(p.label() for p in self.parts)
-        if self.kind == "scaled":
-            return f"({self.factor})*{self.base.label()}"
-        return self.kind
+        return SPEC_KINDS[self.kind].label(self.value)
 
-    def to_document(self):
-        """The JSON-document form of this spec (see the CLI schema)."""
-        if self.kind == "builtin":
-            return {"builtin": self.name}
-        if self.kind == "explicit":
-            c = self.chern
-            if not c.is_integral():
-                raise ValueError(
-                    "the document schema only admits integer Chern triples; "
-                    "express rational combinations with scaled"
-                )
-            return {"chern": {"c111": c.c111, "c12": c.c12, "c3": c.c3}}
-        if self.kind == "product":
-            return {"product": list(self.dims)}
-        if self.kind == "hypersurface":
-            return {"hypersurface": {"degree": self.degree}}
-        if self.kind == "disjoint_union":
-            return {"disjoint_union": [p.to_document() for p in self.parts]}
-        if self.kind == "scaled":
-            f = self.factor
-            return {"scaled": {"factor": str(f) if f.denominator != 1 else int(f), "of": self.base.to_document()}}
-        raise ValueError(f"unknown spec kind {self.kind!r}")
+    def to_document(self) -> dict:
+        """The JSON-document form of this spec, which parse_spec_document reads back."""
+        return {self.kind: SPEC_KINDS[self.kind].document(self.value)}
+
+
+# Builtin names resolve to constructor expressions, not to frozen triples, so
+# that every catalog value is produced by the symbolic engines above.
+BUILTIN_THREEFOLDS: dict[str, ThreefoldSpec] = {
+    "P3": ThreefoldSpec.product((3,)),
+    "P2xP1": ThreefoldSpec.product((2, 1)),
+    "P1xP1xP1": ThreefoldSpec.product((1, 1, 1)),
+    "quintic": ThreefoldSpec.hypersurface(5),
+}
+
+
+def parse_spec_document(doc, where: str = "spec", depth: int = 0) -> ThreefoldSpec:
+    """Validate a JSON spec document and build the ThreefoldSpec it denotes.
+
+    `where` is the document's path in error messages; `depth` counts the
+    enclosing disjoint_union and scaled levels."""
+    if depth > MAX_SPEC_DEPTH:
+        raise SpecDocumentError(f"{where}: specs nest deeper than {MAX_SPEC_DEPTH} levels")
+    if not isinstance(doc, dict):
+        raise SpecDocumentError(f"{where}: expected an object, got {type(doc).__name__}")
+    if len(doc) != 1:
+        keys = ", ".join(sorted(doc)) or "nothing"
+        raise SpecDocumentError(f"{where}: expected exactly one of the spec keys, got {_clip(keys)}")
+    (key, value), = doc.items()
+    kind = SPEC_KINDS.get(key)
+    if kind is None:
+        raise SpecDocumentError(f"{where}: unknown spec key {_clip(repr(key))}; expected one of {', '.join(SPEC_KINDS)}")
+    return ThreefoldSpec(key, kind.parse(value, f"{where}.{key}", depth))
 
 
 def catalog() -> tuple[ThreefoldSpec, ...]:

@@ -8,12 +8,13 @@ diagnostics and the version banner to stderr.  Exit codes: 0 success,
 """
 
 import argparse
-import re
 import sys
 from fractions import Fraction
 
 from . import __version__
+from ._values import _json_number
 from .chern import BUILTIN_THREEFOLDS, ChernNumbers, ThreefoldSpec, twist_exponent
+from .chern import MAX_FACTOR_DIGITS, MAX_SPEC_DEPTH, SpecDocumentError, parse_spec_document  # re-exported
 from .cobordism import decompose, verify_exponent_identity
 from .dt import DEFAULT_ORDER, NonIntegralSpecError, discrepancy_degrees, dt_series
 
@@ -39,154 +40,36 @@ MAX_TWIST_EXPONENT = 10**12
 # at 1001 (the Chern numbers of a degree-d hypersurface grow like d^4).
 MAX_CHERN_NUMBER = 10**12
 
-# Deepest nesting of disjoint_union and scaled in a spec document.  Building,
-# resolving and labelling a spec recurse once per level.
-MAX_SPEC_DEPTH = 100
-
-# Most digits in a scaled factor, in an integer or in each of p and q of a
-# "p/q" string.
-MAX_FACTOR_DIGITS = 30
-_FACTOR_FORM = r"[+-]?([0-9]+)(?:/([0-9]+))?"
-
-
-class SpecDocumentError(ValueError):
-    """A threefold spec document does not validate against the schema."""
-
-
-# ---------------------------------------------------------------------------
-# spec document parsing
-# ---------------------------------------------------------------------------
-
-
-def _expect_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SpecDocumentError(f"{where}: expected an integer, got {value!r}")
-    return value
-
-
-def _parse_factor(value, where: str) -> Fraction:
-    if isinstance(value, bool):
-        raise SpecDocumentError(f"{where}: expected an integer or 'p/q' string, got {value!r}")
-    if isinstance(value, int):
-        if abs(value) >= 10**MAX_FACTOR_DIGITS:
-            raise SpecDocumentError(f"{where}: an integer factor has at most {MAX_FACTOR_DIGITS} digits")
-        return Fraction(value)
-    if isinstance(value, str):
-        match = re.fullmatch(_FACTOR_FORM, value)
-        if match is None:
-            raise SpecDocumentError(f"{where}: cannot parse rational {value!r}; expected 'p' or 'p/q'")
-        if any(part is not None and len(part) > MAX_FACTOR_DIGITS for part in match.groups()):
-            raise SpecDocumentError(f"{where}: p and q have at most {MAX_FACTOR_DIGITS} digits each")
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise SpecDocumentError(f"{where}: cannot parse rational {value!r}") from None
-    raise SpecDocumentError(f"{where}: expected an integer or 'p/q' string, got {value!r}")
-
-
-def parse_spec_document(doc, where: str = "spec", depth: int = 0) -> ThreefoldSpec:
-    """Validate a JSON spec document and build the ThreefoldSpec it denotes.
-
-    `depth` counts the enclosing disjoint_union and scaled levels.
-    """
-    if depth > MAX_SPEC_DEPTH:
-        raise SpecDocumentError(f"{where}: specs nest deeper than {MAX_SPEC_DEPTH} levels")
-    if not isinstance(doc, dict):
-        raise SpecDocumentError(f"{where}: expected an object, got {type(doc).__name__}")
-    if len(doc) != 1:
-        keys = ", ".join(sorted(doc)) or "nothing"
-        raise SpecDocumentError(f"{where}: expected exactly one of the spec keys, got {keys}")
-    (key, value), = doc.items()
-    if key == "builtin":
-        if not isinstance(value, str) or value not in BUILTIN_THREEFOLDS:
-            known = ", ".join(sorted(BUILTIN_THREEFOLDS))
-            raise SpecDocumentError(f"{where}.builtin: unknown name {value!r}; known names: {known}")
-        return ThreefoldSpec.builtin(value)
-    if key == "chern":
-        if not isinstance(value, dict) or set(value) != {"c111", "c12", "c3"}:
-            raise SpecDocumentError(f"{where}.chern: expected the keys c111, c12, c3")
-        triple = ChernNumbers(*(_expect_int(value[k], f"{where}.chern.{k}") for k in ("c111", "c12", "c3")))
-        return ThreefoldSpec.explicit(triple)
-    if key == "hypersurface":
-        if not isinstance(value, dict) or set(value) != {"degree"}:
-            raise SpecDocumentError(f"{where}.hypersurface: expected the key degree")
-        degree = _expect_int(value["degree"], f"{where}.hypersurface.degree")
-        if degree < 1:
-            raise SpecDocumentError(f"{where}.hypersurface.degree: must be positive, got {degree}")
-        return ThreefoldSpec.hypersurface(degree)
-    if key == "product":
-        if not isinstance(value, list) or not value:
-            raise SpecDocumentError(f"{where}.product: expected a non-empty list of dimensions")
-        dims = [_expect_int(v, f"{where}.product[{i}]") for i, v in enumerate(value)]
-        if any(d < 1 for d in dims) or sum(dims) != 3:
-            raise SpecDocumentError(f"{where}.product: dimensions must be positive and sum to 3, got {dims}")
-        return ThreefoldSpec.product(dims)
-    if key == "disjoint_union":
-        if not isinstance(value, list):
-            raise SpecDocumentError(f"{where}.disjoint_union: expected a list of specs")
-        parts = [parse_spec_document(part, f"{where}.disjoint_union[{i}]", depth + 1)
-                 for i, part in enumerate(value)]
-        return ThreefoldSpec.disjoint_union(parts)
-    if key == "scaled":
-        if not isinstance(value, dict) or set(value) != {"factor", "of"}:
-            raise SpecDocumentError(f"{where}.scaled: expected the keys factor and of")
-        factor = _parse_factor(value["factor"], f"{where}.scaled.factor")
-        base = parse_spec_document(value["of"], f"{where}.scaled.of", depth + 1)
-        return ThreefoldSpec.scaled(factor, base)
-    raise SpecDocumentError(
-        f"{where}: unknown spec key {key!r}; "
-        "expected builtin, chern, hypersurface, product, disjoint_union or scaled"
-    )
-
-
-def _json_number(value):
-    """Exact rationals for JSON: plain ints stay ints, fractions become 'p/q'."""
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else str(value)
-    return value
-
 
 # ---------------------------------------------------------------------------
 # argument handling
 # ---------------------------------------------------------------------------
 
 
-def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--builtin", choices=sorted(BUILTIN_THREEFOLDS), help="named catalog threefold")
-    parser.add_argument("--c111", type=int, help="c1^3 of an explicit Chern triple")
-    parser.add_argument("--c12", type=int, help="c1c2 of an explicit Chern triple")
-    parser.add_argument("--c3", type=int, help="c3 of an explicit Chern triple")
-    parser.add_argument("--hypersurface-degree", type=int, help="degree of a hypersurface in P4")
-    parser.add_argument("--spec-file", help="path to a JSON spec document")
-
-
 def _spec_from_args(args, parser: argparse.ArgumentParser) -> ThreefoldSpec:
-    chern_flags = [v is not None for v in (args.c111, args.c12, args.c3)]
-    if any(chern_flags) and not all(chern_flags):
-        parser.error("give all three of --c111 --c12 --c3")
-    sources = sum([args.builtin is not None, all(chern_flags),
-                   args.hypersurface_degree is not None, args.spec_file is not None])
-    if sources != 1:
+    """The spec of the spec flags, parsed by parse_spec_document: the document
+    in the spec file, or the one that the shorthand flags build."""
+    chern = {"c111": args.c111, "c12": args.c12, "c3": args.c3}
+    shorthands = {
+        "builtin": args.builtin,
+        "chern": {field: value for field, value in chern.items() if value is not None} or None,
+        "hypersurface": None if args.hypersurface_degree is None else {"degree": args.hypersurface_degree},
+    }
+    doc = {key: value for key, value in shorthands.items() if value is not None}
+    if len(doc) + (args.spec_file is not None) != 1:
         parser.error("give exactly one spec source: --builtin, --c111/--c12/--c3, "
                      "--hypersurface-degree or --spec-file")
-    if args.builtin is not None:
-        return ThreefoldSpec.builtin(args.builtin)
-    if all(chern_flags):
-        return ThreefoldSpec.explicit(ChernNumbers(args.c111, args.c12, args.c3))
-    if args.hypersurface_degree is not None:
-        if args.hypersurface_degree < 1:
-            parser.error("--hypersurface-degree must be positive")
-        return ThreefoldSpec.hypersurface(args.hypersurface_degree)
-    import json  # only spec files and --format json need it
+    if args.spec_file is not None:
+        import json  # only spec files and --format json need it
 
-    with open(args.spec_file, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # malformed, or an integer too long to convert
-        raise SpecDocumentError(f"spec: invalid JSON: {exc}") from None
-    except RecursionError:
-        raise SpecDocumentError("spec: JSON nests too deeply to read") from None
+        with open(args.spec_file, "r", encoding="utf-8") as handle:
+            text = handle.read()
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:  # malformed, or an integer too long to convert
+            raise SpecDocumentError(f"spec: invalid JSON: {exc}") from None
+        except RecursionError:
+            raise SpecDocumentError("spec: JSON nests too deeply to read") from None
     return parse_spec_document(doc)
 
 
@@ -334,18 +217,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact engine for dimension-zero Donaldson-Thomas series.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    spec = argparse.ArgumentParser(add_help=False)  # the spec flags of series, cobordism and discrepancy
+    spec.add_argument("--builtin", help=f"named catalog threefold: {', '.join(sorted(BUILTIN_THREEFOLDS))}")
+    spec.add_argument("--c111", type=int, help="c1^3 of an explicit Chern triple")
+    spec.add_argument("--c12", type=int, help="c1c2 of an explicit Chern triple")
+    spec.add_argument("--c3", type=int, help="c3 of an explicit Chern triple")
+    spec.add_argument("--hypersurface-degree", type=int, help="degree of a hypersurface in P4")
+    spec.add_argument("--spec-file", help="path to a JSON spec document")
 
-    p_series = sub.add_parser("series", help="print exponent, cobordism data and series coefficients")
-    _add_spec_arguments(p_series)
+    p_series = sub.add_parser("series", parents=[spec], help="print exponent, cobordism data and series coefficients")
     p_series.add_argument("--order", type=int, default=DEFAULT_ORDER, help=f"truncation order (default 20, at most {MAX_ORDER})")
     p_series.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
-    p_cob = sub.add_parser("cobordism", help="decompose over the three generators")
-    _add_spec_arguments(p_cob)
+    p_cob = sub.add_parser("cobordism", parents=[spec], help="decompose over the three generators")
     p_cob.add_argument("--format", choices=("tsv", "json"), default="json")
 
-    p_disc = sub.add_parser("discrepancy", help="per-size degrees extracted from the series")
-    _add_spec_arguments(p_disc)
+    p_disc = sub.add_parser("discrepancy", parents=[spec], help="per-size degrees extracted from the series")
     p_disc.add_argument("--max-n", type=int, default=7, help=f"largest block size (default 7, at most {MAX_ORDER})")
     p_disc.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
@@ -371,11 +258,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args, parser)
-    except SpecDocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, UnicodeDecodeError) as exc:
-        # an unreadable spec file: missing, a directory, not UTF-8, ...
+    except (SpecDocumentError, OSError, UnicodeDecodeError) as exc:
+        # an invalid spec, or an unreadable spec file: missing, a directory, not UTF-8, ...
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NonIntegralSpecError as exc:

@@ -155,6 +155,32 @@ class TestErrorPaths:
         banner, *rest = err.splitlines()
         assert len(rest) == 1 and rest[0].startswith("error:") and "nests too deeply" in rest[0]
 
+    @pytest.mark.parametrize("doc", [
+        {"x" * 10**6: "P3"},
+        {"builtin": "P" * 10**6},
+        {"k" * 500_000: 1, "builtin": "P3"},
+        {"chern": {"c111": "1" * 10**6, "c12": 0, "c3": 0}},
+        {"hypersurface": {"degree": -10**4000}},
+        {"product": [1] * 10**5},
+        {"scaled": {"factor": "x" * 10**6, "of": {"builtin": "P3"}}},
+        {"scaled": {"factor": ["1"] * 10**5, "of": {"builtin": "P3"}}},
+    ], ids=["key", "builtin", "key-beside-key", "chern", "degree", "product", "factor", "factor-list"])
+    def test_huge_values_are_cut_in_errors(self, tmp_path, capsys, doc):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "series", "--spec-file", str(path))
+        assert code == 2
+        assert out == ""
+        banner, *rest = err.splitlines()
+        assert len(rest) == 1 and rest[0].startswith("error: spec") and len(rest[0]) < 200
+
+    def test_huge_flag_value_is_cut_in_errors(self, capsys):
+        code, out, err = run(capsys, "series", "--builtin", "P" * 10**6)
+        assert code == 2
+        assert out == ""
+        banner, *rest = err.splitlines()
+        assert len(rest) == 1 and rest[0].startswith("error: spec.builtin: unknown name") and len(rest[0]) < 200
+
     @pytest.mark.parametrize("kind", ["disjoint_union", "scaled"])
     def test_spec_nesting_bound(self, tmp_path, capsys, kind):
         def nested(depth):
@@ -471,7 +497,7 @@ class TestSpecDocumentParsing:
         assert spec.resolve().c111 == 96
         longest = "9" * MAX_FACTOR_DIGITS
         spec = parse_spec_document({"scaled": {"factor": f"-{longest}/{longest[1:]}7", "of": {"builtin": "P3"}}})
-        assert spec.factor == Fraction(-int(longest), int(longest[1:] + "7"))
+        assert spec == ThreefoldSpec.scaled(Fraction(-int(longest), int(longest[1:] + "7")), ThreefoldSpec.builtin("P3"))
         with pytest.raises(SpecDocumentError, match="cannot parse"):
             parse_spec_document({"scaled": {"factor": "x", "of": {"builtin": "P3"}}})
 
@@ -520,4 +546,6 @@ class TestSpecDocumentFuzz:
         assert isinstance(spec, ThreefoldSpec)
         # whatever parses also resolves and labels without exhausting the stack
         spec.resolve()
-        spec.label()
+        # and writes back to a document that parses to the same spec
+        again = parse_spec_document(spec.to_document())
+        assert again == spec and again.label() == spec.label()

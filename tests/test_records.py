@@ -34,8 +34,7 @@ def examples():
 def test_repr_text():
     assert repr(ChernNumbers(64, 24, 4)) == "ChernNumbers(c111=64, c12=24, c3=4)"
     assert repr(ChernNumbers(Fraction(1, 2), 0, 0)) == "ChernNumbers(c111=Fraction(1, 2), c12=0, c3=0)"
-    spec_text = ("ThreefoldSpec(kind='builtin', name='P3', chern=None, dims=None, degree=None, "
-                 "parts=None, factor=None, base=None)")
+    spec_text = "ThreefoldSpec(kind='builtin', value='P3')"
     assert repr(P3) == spec_text
     assert repr(dt_series(P3, 1)) == f"DTSeries(series=TruncatedSeries([1, 20]), exponent=-20, source={spec_text})"
     assert repr(decompose(ChernNumbers(64, 24, 4))) == (

@@ -1,0 +1,34 @@
+"""The scripts under scripts/ run end to end and print their headers."""
+
+import os
+import subprocess
+import sys
+
+import dtzero
+
+SRC = os.path.dirname(os.path.dirname(dtzero.__file__))
+SCRIPTS = os.path.join(os.path.dirname(SRC), "scripts")
+
+
+def run_script(name, *argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, os.path.join(SCRIPTS, name), *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_dt_catalog():
+    lines = run_script("dt_catalog.py", "--order", "4", "--max-k", "3")
+    headers = [line for line in lines if line.startswith("== ")]
+    assert headers == ["== P3", "== P2xP1", "== P1xP1xP1", "== quintic",
+                       "== universality across the catalog: exact fit"]
+    assert "   series          1 20 150 400 -855" in lines
+    assert lines[-1] == "   lambda_k        1:-1 2:5 3:-20"
+
+
+def test_qset_demo():
+    lines = run_script("qset_demo.py", "--n", "3", "--samples", "20")
+    assert lines[0] == "20 configurations of 3 points, seed 0"
+    assert lines[1].startswith("all classifications unique; ")
+    assert all(line.startswith("  rank ") for line in lines[2:]) and len(lines) > 2
