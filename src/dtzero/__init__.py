@@ -32,18 +32,21 @@ _SUBMODULE_EXPORTS = {
     "chern": (
         "BUILTIN_THREEFOLDS",
         "ChernNumbers",
+        "SpecDocumentError",
         "ThreefoldSpec",
         "catalog",
         "chern_disjoint_union",
         "chern_of_hypersurface",
         "chern_of_projective_space_product",
         "chern_scale",
+        "parse_spec_document",
         "twist_class_monomials",
         "twist_exponent",
     ),
     "cobordism": (
         "CobordismDecomposition",
         "ExponentIdentityReport",
+        "GENERATOR_DIMS",
         "decompose",
         "generator_chern_numbers",
         "generator_determinant",
@@ -68,7 +71,10 @@ _SUBMODULE_EXPORTS = {
     "dt": (
         "DEFAULT_ORDER",
         "DTSeries",
+        "MultiplicativityReport",
         "NonIntegralSpecError",
+        "RootArgumentReport",
+        "UniversalityReport",
         "discrepancy_degrees",
         "dt_rational_power",
         "dt_series",

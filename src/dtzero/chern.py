@@ -534,7 +534,7 @@ def parse_spec_document(doc, where: str = "spec", depth: int = 0) -> ThreefoldSp
     if not isinstance(doc, dict):
         raise SpecDocumentError(f"{where}: expected an object, got {type(doc).__name__}")
     if len(doc) != 1:
-        keys = ", ".join(sorted(doc)) or "nothing"
+        keys = ", ".join(sorted(map(str, doc))) or "nothing"  # a Python dict may mix key types
         raise SpecDocumentError(f"{where}: expected exactly one of the spec keys, got {_clip(keys)}")
     (key, value), = doc.items()
     kind = SPEC_KINDS.get(key)

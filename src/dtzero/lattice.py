@@ -84,9 +84,6 @@ class SetPartition:
     def rank(self) -> int:
         return self.n - len(self.blocks)
 
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
-
     def labels(self) -> tuple[int, ...]:
         """labels()[i-1] is the index of the block containing element i."""
         out = [0] * self.n
@@ -114,13 +111,6 @@ class SetPartition:
 
     def __lt__(self, other: "SetPartition") -> bool:
         return self != other and self <= other
-
-    def __ge__(self, other: "SetPartition") -> bool:
-        self._same_ground_set(other)
-        return other <= self
-
-    def __gt__(self, other: "SetPartition") -> bool:
-        return self != other and self >= other
 
     def meet(self, other: "SetPartition") -> "SetPartition":
         """Common refinement: blockwise intersections, empties dropped."""

@@ -213,22 +213,6 @@ class TruncatedSeries:
             b[k] = acc / k
         return TruncatedSeries(b)
 
-    def exp0(self) -> "TruncatedSeries":
-        """Exponential of a series with constant term 0; the result has constant term 1."""
-        a = self._coeffs
-        if a[0] != 0:
-            raise ValueError("exp0 requires constant term 0")
-        n = self.order
-        b = [Fraction(0)] * (n + 1)
-        b[0] = Fraction(1)
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                if a[j] != 0 and b[k - j] != 0:
-                    acc += j * a[j] * b[k - j]
-            b[k] = acc / k
-        return TruncatedSeries(b)
-
     def root_m(self, m: int) -> "TruncatedSeries":
         """The unique m-th root with constant term 1 of a series with constant term 1.
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from dtzero import BUILTIN_THREEFOLDS, ThreefoldSpec, macmahon
+from dtzero import BUILTIN_THREEFOLDS, ThreefoldSpec, macmahon, verify
 from dtzero.cli import (
     MAX_CHERN_NUMBER,
     MAX_FACTOR_DIGITS,
@@ -359,7 +360,25 @@ class TestDiscrepancyCommand:
         assert doc["t"] == {"1": 200, "2": -1000}
 
 
+# sha256 of the stdout of `verify --suite all --format json` at each --max-n,
+# recorded before the checks moved onto one first-counterexample runner; the
+# JSON carries every check's name, status, case count and detail
+VERIFY_ALL_JSON = {
+    None: "8c734d55bf5b897c705aca22cf2bab3dd7e1c72b87d809767cf8adc849a2e9a0",
+    "0": "0b4a6cdbc56acc8e6d8e852ac82faaf86ddbad8c307686f54bcd56496f93e7fb",
+    "1": "3725472f4946c75d5779e6a1261ab7b8432f86434b103d51c9f8ff8f0db53262",
+    "3": "225fbf65a5ca5ff8581ea153166a7c674e9536e57b99a76af577f188c8478d59",
+    "6": "c38f94ab70e7df4f8e7b1a6363a513450432f859b81467ed3e99d8b2ecd5c737",
+}
+
+
 class TestVerifyCommand:
+    @pytest.mark.parametrize("max_n", VERIFY_ALL_JSON)
+    def test_all_suites_json_golden(self, capsys, max_n):
+        knob = [] if max_n is None else ["--max-n", max_n]
+        code, out, _ = run(capsys, "verify", "--suite", "all", *knob, "--format", "json")
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, VERIFY_ALL_JSON[max_n])
+
     def test_negative_max_n_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "macmahon", "--max-n", "-1"])
@@ -466,11 +485,50 @@ class TestVerifyCommand:
         failing = [c for c in json.loads(out)["checks"] if c["status"] == "FAIL"]
         assert failing[0]["name"] == "macmahon/oracle-equivalence" and "q^7" in failing[0]["detail"]
 
+    def test_fault_injection_keeps_case_counts(self, capsys, monkeypatch):
+        # a check that fails part-way still reports every case it covers
+        passing = {}
+        for suite in ("lattice", "universality"):
+            _, out, _ = run(capsys, "verify", "--suite", suite, "--format", "json")
+            passing.update((c["name"], c["cases"]) for c in json.loads(out)["checks"])
+        real_factorial, real_multiplicativity = verify.alpha_factorial, verify.verify_multiplicativity
+
+        def wrong_at_three(alpha):
+            return real_factorial(alpha) + (alpha.n == 3)
+
+        def one_pair_fails(a, b, order):
+            report = real_multiplicativity(a, b, order=order)
+            return report._replace(ok=report.ok and (a.label(), b.label()) != ("P2xP1", "quintic"))
+
+        monkeypatch.setattr(verify, "alpha_factorial", wrong_at_three)
+        monkeypatch.setattr(verify, "verify_multiplicativity", one_pair_fails)
+        for suite, name, counterexample in [
+            ("lattice", "lattice/fiber-multiplicity-sum", "n=3, alpha=SetPartition(3, 123), x="),
+            ("universality", "universality/disjoint-union-multiplicativity", "P2xP1 + quintic"),
+        ]:
+            code, out, _ = run(capsys, "verify", "--suite", suite)
+            assert code == 1
+            failing = [line for line in out.splitlines() if line.startswith("FAIL")]
+            assert len(failing) == 1 and failing[0].startswith(f"FAIL\t{name}: {counterexample}")
+            code, out, _ = run(capsys, "verify", "--suite", suite, "--format", "json")
+            assert code == 1
+            checks = json.loads(out)["checks"]
+            assert [c["name"] for c in checks if c["status"] == "FAIL"] == [name]
+            assert {c["name"]: c["cases"] for c in checks}.items() <= passing.items()
+        assert passing["lattice/fiber-multiplicity-sum"] == 1954
+        assert passing["universality/disjoint-union-multiplicativity"] == 10
+
 
 class TestSpecDocumentParsing:
     def test_requires_single_key(self):
         with pytest.raises(SpecDocumentError, match="exactly one"):
             parse_spec_document({"builtin": "P3", "chern": {}})
+
+    def test_mixed_key_types_are_a_schema_error(self):
+        with pytest.raises(SpecDocumentError, match="got 1, a$"):
+            parse_spec_document({1: 2, "a": 3})
+        with pytest.raises(SpecDocumentError, match=r"got 1, 10{56}\.\.\.$"):
+            parse_spec_document({1: 2, 10 ** 100: 3})
 
     def test_unknown_key(self):
         with pytest.raises(SpecDocumentError, match="unknown spec key"):

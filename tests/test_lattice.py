@@ -103,6 +103,15 @@ class TestOrder:
         with pytest.raises(ValueError, match="ground sets differ"):
             SetPartition.whole(3) <= SetPartition.whole(4)
 
+    def test_reflected_comparisons(self):
+        # >= and > are Python's reflections of <= and <
+        fine, coarse = P(3, {1}, {2}, {3}), P(3, {1, 2}, {3})
+        assert coarse >= fine and coarse > fine and coarse >= coarse
+        assert not fine >= coarse and not coarse > coarse
+        for compare in (lambda a, b: a >= b, lambda a, b: a > b):
+            with pytest.raises(ValueError, match="ground sets differ"):
+                compare(SetPartition.whole(4), SetPartition.singletons(3))
+
 
 class TestMeetJoin:
     def test_meet_idempotent(self):

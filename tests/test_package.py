@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -57,6 +58,13 @@ def test_dir_lists_every_public_name():
 def test_public_names_come_from_their_submodules():
     assert dtzero.partitions is sys.modules["dtzero.lattice"].partitions
     assert dtzero.TruncatedSeries is sys.modules["dtzero.series"].TruncatedSeries
+
+
+@pytest.mark.parametrize("module", sorted(dtzero._SUBMODULE_EXPORTS))
+def test_export_table_matches_submodule_all(module):
+    # the lazy table is written out by hand; it must list each submodule's __all__
+    submodule = importlib.import_module(f"dtzero.{module}")
+    assert set(dtzero._SUBMODULE_EXPORTS[module]) == set(submodule.__all__)
 
 
 def test_unknown_name_raises_attribute_error():

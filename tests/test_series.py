@@ -13,6 +13,18 @@ def S(*coeffs, order=None):
     return TruncatedSeries.from_coefficients(coeffs, order=order)
 
 
+def exp0(a):
+    """exp(a) for a series with constant term 0, as the Taylor sum of a^k/k!
+    for k up to the order (a^k starts at q^k); an oracle for log1."""
+    if a[0] != 0:
+        raise ValueError("exp0 requires constant term 0")
+    term = total = TruncatedSeries.one(a.order)
+    for k in range(1, a.order + 1):
+        term = term * a * Fraction(1, k)
+        total = total + term
+    return total
+
+
 class TestConstruction:
     def test_orders(self):
         assert S(1, 2, 3).order == 2
@@ -120,10 +132,10 @@ class TestLogExp:
         )
 
     def test_exp_of_zero(self):
-        assert TruncatedSeries.zero(4).exp0() == TruncatedSeries.one(4)
+        assert exp0(TruncatedSeries.zero(4)) == TruncatedSeries.one(4)
 
     def test_exp_of_q(self):
-        got = TruncatedSeries.monomial(1, 1, 4).exp0()
+        got = exp0(TruncatedSeries.monomial(1, 1, 4))
         assert got == TruncatedSeries(
             [1, 1, Fraction(1, 2), Fraction(1, 6), Fraction(1, 24)]
         )
@@ -134,7 +146,7 @@ class TestLogExp:
 
     def test_exp_requires_constant_zero(self):
         with pytest.raises(ValueError):
-            S(1, 1).exp0()
+            exp0(S(1, 1))
 
 
 class TestRoot:
@@ -203,9 +215,9 @@ class TestRingAxioms:
     @given(series(constant=1, max_order=12))
     @settings(max_examples=40, deadline=None)
     def test_exp_log_roundtrip(self, a):
-        assert a.log1().exp0() == a
+        assert exp0(a.log1()) == a
 
     @given(series(constant=0, max_order=12))
     @settings(max_examples=40, deadline=None)
     def test_log_exp_roundtrip(self, a):
-        assert a.exp0().log1() == a
+        assert exp0(a).log1() == a
