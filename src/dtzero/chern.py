@@ -1,22 +1,22 @@
 """Chern-number calculus for threefolds.
 
 The three degree-six Chern monomials (c1^3, c1c2, c3) are computed
-symbolically: cohomology of a product of projective spaces is modelled as
-a truncated polynomial ring, hypersurfaces in P^4 go through a one-variable
-truncation, and the tangent-twist exponent is expanded from Chern roots by
-the splitting principle.  Integration means reading off the coefficient of
-the top monomial.  Threefold specs are parsed from JSON documents, resolved,
-labelled and written back through SPEC_KINDS, one entry per kind of spec.
+symbolically, in one ring of truncated integer polynomials: the cohomology
+of a product of projective spaces and that of a hypersurface in P^4 are
+both truncated rings in hyperplane classes, and the tangent-twist exponent
+is expanded from Chern roots by the splitting principle.  Integration means
+reading off the coefficient of the top monomial, times its volume.
+Threefold specs are parsed from JSON documents, resolved, labelled and
+written back through SPEC_KINDS, one entry per kind of spec.
 """
 
 import re
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ._values import Rational, _exact, _json_number, _refuse_sequence_ops
-from .series import TruncatedSeries
 
 __all__ = [
     "BUILTIN_THREEFOLDS",
@@ -40,137 +40,70 @@ def _tidy(value: Fraction):
 
 
 # ---------------------------------------------------------------------------
-# a minimal multivariate polynomial with optional nilpotency caps
+# truncated integer polynomials: {exponent tuple: coefficient} dicts
 # ---------------------------------------------------------------------------
 
-
-class TruncatedPolynomial:
-    """Polynomial in a fixed list of degree-one generators.
-
-    When ``caps`` is given, any monomial in which generator j exceeds
-    caps[j] is dropped; this models the truncated cohomology ring of a
-    product of projective spaces.  Without caps it is an ordinary exact
-    polynomial, which is what the splitting-principle expansion uses.
-    """
-
-    __slots__ = ("nvars", "caps", "terms")
-
-    def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Rational] | None = None,
-                 caps: tuple[int, ...] | None = None):
-        self.nvars = nvars
-        self.caps = caps
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for mono, coeff in (terms or {}).items():
-            coeff = _exact(coeff)
-            if coeff == 0:
-                continue
-            if caps is not None and any(e > c for e, c in zip(mono, caps)):
-                continue
-            clean[mono] = coeff
-        self.terms = clean
-
-    @classmethod
-    def one(cls, nvars: int, caps: tuple[int, ...] | None = None) -> "TruncatedPolynomial":
-        return cls(nvars, {(0,) * nvars: 1}, caps)
-
-    @classmethod
-    def variable(cls, index: int, nvars: int, caps: tuple[int, ...] | None = None) -> "TruncatedPolynomial":
-        mono = tuple(1 if j == index else 0 for j in range(nvars))
-        return cls(nvars, {mono: 1}, caps)
-
-    def _like(self, terms) -> "TruncatedPolynomial":
-        return TruncatedPolynomial(self.nvars, terms, self.caps)
-
-    def _compatible(self, other: "TruncatedPolynomial") -> None:
-        if self.nvars != other.nvars or self.caps != other.caps:
-            raise ValueError("polynomials live in different rings")
-
-    def __add__(self, other: "TruncatedPolynomial") -> "TruncatedPolynomial":
-        self._compatible(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
-        return self._like(terms)
-
-    def __sub__(self, other: "TruncatedPolynomial") -> "TruncatedPolynomial":
-        self._compatible(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) - coeff
-        return self._like(terms)
-
-    def scale(self, factor: Rational) -> "TruncatedPolynomial":
-        factor = _exact(factor)
-        return self._like({m: c * factor for m, c in self.terms.items()})
-
-    def __mul__(self, other: "TruncatedPolynomial") -> "TruncatedPolynomial":
-        self._compatible(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                if self.caps is not None and any(e > c for e, c in zip(mono, self.caps)):
-                    continue
-                terms[mono] = terms.get(mono, Fraction(0)) + c1 * c2
-        return self._like(terms)
-
-    def __pow__(self, e: int) -> "TruncatedPolynomial":
-        if e < 0:
-            raise ValueError("negative powers are not defined here")
-        result = TruncatedPolynomial.one(self.nvars, self.caps)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    def coefficient(self, mono: tuple[int, ...]) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
-
-    def graded_part(self, degree: int) -> "TruncatedPolynomial":
-        return self._like({m: c for m, c in self.terms.items() if sum(m) == degree})
-
-    def is_zero(self) -> bool:
-        return not self.terms
+# A polynomial in a fixed number of degree-one generators, without zero
+# coefficients.  A `caps` tuple drops every monomial in which generator j
+# exceeds caps[j], which models the truncated cohomology ring of a product
+# of projective spaces; without caps the ring is ordinary, which is what the
+# splitting-principle expansion uses.
+_Poly = dict[tuple[int, ...], int]
 
 
-def _elementary_symmetric(nvars: int) -> list[TruncatedPolynomial]:
-    """e_1..e_nvars in the given number of variables."""
-    out = []
-    for k in range(1, nvars + 1):
-        terms = {}
-        for combo in combinations(range(nvars), k):
-            mono = tuple(1 if j in combo else 0 for j in range(nvars))
-            terms[mono] = 1
-        out.append(TruncatedPolynomial(nvars, terms))
-    return out
+def _nonzero(terms: _Poly) -> _Poly:
+    return {mono: coeff for mono, coeff in terms.items() if coeff}
 
 
-def _to_elementary(poly: TruncatedPolynomial) -> dict[tuple[int, ...], Fraction]:
-    """Rewrite a symmetric polynomial in e_1..e_n, by the greedy leading-term
-    reduction.  Keys are exponent tuples of (e_1, ..., e_n)."""
-    es = _elementary_symmetric(poly.nvars)
-    out: dict[tuple[int, ...], Fraction] = {}
-    work = poly
-    while not work.is_zero():
-        mono = max(work.terms)
-        coeff = work.terms[mono]
-        lam = tuple(sorted(mono, reverse=True))
-        if lam != mono:
+def _add(p: _Poly, q: _Poly, factor: int = 1) -> _Poly:
+    """p + factor*q."""
+    terms = dict(p)
+    for mono, coeff in q.items():
+        terms[mono] = terms.get(mono, 0) + factor * coeff
+    return _nonzero(terms)
+
+
+def _mul(p: _Poly, q: _Poly, caps: tuple[int, ...] | None = None) -> _Poly:
+    """p*q, truncated at `caps` when given."""
+    terms: _Poly = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            mono = tuple(a + b for a, b in zip(m1, m2))
+            if caps is None or all(e <= c for e, c in zip(mono, caps)):
+                terms[mono] = terms.get(mono, 0) + c1 * c2
+    return _nonzero(terms)
+
+
+def _pow(p: _Poly, e: int, caps: tuple[int, ...] | None = None) -> _Poly:
+    """p**e for e >= 1, with p already inside the caps."""
+    result = p
+    for _ in range(e - 1):
+        result = _mul(result, p, caps)
+    return result
+
+
+def _to_elementary(poly: _Poly, nvars: int) -> _Poly:
+    """Rewrite a symmetric polynomial in e_1..e_nvars, by the greedy leading-term
+    reduction.  Keys are exponent tuples of (e_1, ..., e_nvars)."""
+    es = [
+        {tuple(int(j in combo) for j in range(nvars)): 1 for combo in combinations(range(nvars), k)}
+        for k in range(1, nvars + 1)
+    ]
+    out: _Poly = {}
+    while poly:
+        mono = max(poly)
+        coeff = poly[mono]
+        if list(mono) != sorted(mono, reverse=True):
             raise ValueError("polynomial is not symmetric")
-        exps = tuple(
-            lam[i] - (lam[i + 1] if i + 1 < len(lam) else 0) for i in range(len(lam))
-        )
-        out[exps] = out.get(exps, Fraction(0)) + coeff
-        product = TruncatedPolynomial.one(poly.nvars)
+        # the leading monomial falls strictly at every step, so each exps comes once
+        exps = tuple(a - b for a, b in zip(mono, mono[1:] + (0,)))
+        out[exps] = coeff
+        product = {(0,) * nvars: coeff}
         for e_poly, e_exp in zip(es, exps):
             if e_exp:
-                product = product * e_poly ** e_exp
-        work = work - product.scale(coeff)
-    return {k: v for k, v in out.items() if v != 0}
+                product = _mul(product, _pow(e_poly, e_exp))
+        poly = _add(poly, product, -1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +179,10 @@ def twist_class_monomials() -> tuple[tuple[tuple[int, int, int], int], ...]:
     the class is prod_i (a_i - c1).  The expansion is rewritten in elementary
     symmetric polynomials; keys are exponent tuples of (c1, c2, c3).
     """
-    a = [TruncatedPolynomial.variable(i, 3) for i in range(3)]
-    c1 = a[0] + a[1] + a[2]
-    product = (a[0] - c1) * (a[1] - c1) * (a[2] - c1)
-    reduced = _to_elementary(product)
-    items = []
-    for mono, coeff in sorted(reduced.items()):
-        if coeff.denominator != 1:
-            raise ArithmeticError("twist class expansion produced a non-integer coefficient")
-        items.append((mono, int(coeff)))
-    return tuple(items)
+    roots = [{tuple(int(i == j) for j in range(3)): 1} for i in range(3)]
+    c1 = reduce(_add, roots)
+    product = reduce(_mul, (_add(a, c1, -1) for a in roots))
+    return tuple(sorted(_to_elementary(product, 3).items()))
 
 
 def twist_exponent(c: ChernNumbers) -> Rational:
@@ -277,6 +204,14 @@ def twist_exponent(c: ChernNumbers) -> Rational:
     return _tidy(total)
 
 
+def _chern_numbers(total: _Poly, caps: tuple[int, ...], volume: int) -> ChernNumbers:
+    """Integrate c1^3, c1c2 and c3 of the total Chern class `total`, which lives
+    in the ring truncated at `caps`, whose top monomial `caps` integrates to
+    `volume`."""
+    c1, c2, c3 = ({m: c for m, c in total.items() if sum(m) == k} for k in (1, 2, 3))
+    return ChernNumbers(*(volume * p.get(caps, 0) for p in (_pow(c1, 3, caps), _mul(c1, c2, caps), c3)))
+
+
 def chern_of_projective_space_product(dims: Sequence[int]) -> ChernNumbers:
     """Chern numbers of a product of projective spaces with the given dimensions.
 
@@ -288,37 +223,26 @@ def chern_of_projective_space_product(dims: Sequence[int]) -> ChernNumbers:
         raise ValueError("projective factors must have positive dimension")
     if sum(dims) != 3:
         raise ValueError(f"dimensions {list(dims)} do not sum to 3")
-    nvars = len(dims)
-    caps = dims
-    total = TruncatedPolynomial.one(nvars, caps)
+    one = (0,) * len(dims)
+    total = {one: 1}
     for j, d in enumerate(dims):
-        one_plus_h = TruncatedPolynomial.one(nvars, caps) + TruncatedPolynomial.variable(j, nvars, caps)
-        total = total * one_plus_h ** (d + 1)
-    c1 = total.graded_part(1)
-    c2 = total.graded_part(2)
-    c3 = total.graded_part(3)
-    top = dims
-    return ChernNumbers(
-        (c1 * c1 * c1).coefficient(top),
-        (c1 * c2).coefficient(top),
-        c3.coefficient(top),
-    )
+        one_plus_h = {one: 1, tuple(int(i == j) for i in range(len(dims))): 1}
+        total = _mul(total, _pow(one_plus_h, d + 1, dims), dims)
+    return _chern_numbers(total, dims, 1)
 
 
 def chern_of_hypersurface(degree: int) -> ChernNumbers:
     """Chern numbers of a smooth degree-d hypersurface in P^4.
 
-    The total Chern class restricts to (1+h)^5 / (1+dh) mod h^4, and the
-    hyperplane class integrates to the degree: int_X h^3 = d.
+    The total Chern class restricts to (1+h)^5 / (1+dh) mod h^4, where
+    1/(1+dh) is the finite sum of (-dh)^k for k <= 3, and the hyperplane class
+    integrates to the degree: int_X h^3 = d.
     """
     d = int(degree)
     if d < 1:
         raise ValueError("hypersurface degree must be positive")
-    one_plus_h = TruncatedSeries.from_coefficients([1, 1], order=3)
-    one_plus_dh = TruncatedSeries.from_coefficients([1, d], order=3)
-    total = one_plus_h ** 5 * one_plus_dh.inverse()
-    c1, c2, c3 = total[1], total[2], total[3]
-    return ChernNumbers(c1 ** 3 * d, c1 * c2 * d, c3 * d)
+    total = _mul(_pow({(0,): 1, (1,): 1}, 5, (3,)), {(k,): (-d) ** k for k in range(4)}, (3,))
+    return _chern_numbers(total, (3,), d)
 
 
 # ---------------------------------------------------------------------------

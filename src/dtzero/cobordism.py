@@ -1,9 +1,9 @@
 """Rational cobordism decomposition over the three generator threefolds.
 
 Degree-six complex cobordism is spanned rationally by P^3, P^2xP^1 and
-(P^1)^3; a threefold's class is recovered from its Chern numbers by an
-exact 3x3 linear solve.  The module also checks the exponent identity
-that the decomposition must satisfy for the twisted tangent class.
+(P^1)^3; a threefold's class is recovered from its Chern numbers by
+Cramer's rule, exactly.  The module also checks the exponent identity that
+the decomposition must satisfy for the twisted tangent class.
 """
 
 from fractions import Fraction
@@ -12,7 +12,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .chern import ChernNumbers, chern_of_projective_space_product, twist_exponent
-from ._values import _refuse_sequence_ops
+from ._values import Rational, _refuse_sequence_ops
 
 __all__ = [
     "GENERATOR_DIMS",
@@ -44,28 +44,15 @@ def generator_matrix() -> tuple[tuple[int, int, int], ...]:
     )
 
 
-def _eliminate(matrix, rhs) -> list[Fraction]:
-    """Solve a square exact system by Gaussian elimination (first nonzero pivot)."""
-    n = len(rhs)
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ArithmeticError("generator matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+def _det3(matrix) -> Rational:
+    """Determinant of a 3x3 matrix, by cofactor expansion."""
+    (a, b, c), (d, e, f), (g, h, i) = matrix
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def generator_determinant() -> int:
-    """Determinant of the generator matrix, by cofactor expansion."""
-    (a, b, c), (d, e, f), (g, h, i) = generator_matrix()
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    """Determinant of the generator matrix."""
+    return _det3(generator_matrix())
 
 
 class CobordismDecomposition(NamedTuple):
@@ -103,8 +90,16 @@ class CobordismDecomposition(NamedTuple):
 
 
 def decompose(c: ChernNumbers) -> CobordismDecomposition:
-    """Express a Chern triple over the generators, exactly."""
-    solution = _eliminate(generator_matrix(), (c.c111, c.c12, c.c3))
+    """Express a Chern triple over the generators, exactly, by Cramer's rule:
+    r_j = det(M_j)/det(M), with column j of M replaced by the triple."""
+    matrix = generator_matrix()
+    det = _det3(matrix)
+    if det == 0:
+        raise ArithmeticError("generator matrix is singular")
+    rhs = (c.c111, c.c12, c.c3)
+    solution = [
+        Fraction(_det3([row[:j] + (v,) + row[j + 1:] for row, v in zip(matrix, rhs)]), det) for j in range(3)
+    ]
     m = lcm(*(r.denominator for r in solution))
     return CobordismDecomposition(*solution, m=m)
 

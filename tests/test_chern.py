@@ -86,6 +86,18 @@ class TestHypersurfaces:
         with pytest.raises(ValueError):
             chern_of_hypersurface(0)
 
+    def test_closed_form_for_every_accepted_degree(self):
+        # c(X) = (1+h)^5/(1+dh) mod h^4 has c1 = (5-d)h, c2 = (10-5d+d^2)h^2 and
+        # c3 = (10-10d+5d^2-d^3)h^3, with int h^3 = d; the CLI accepts degrees up
+        # to 1001.
+        for d in range(1, 1002):
+            expected = ChernNumbers(
+                d * (5 - d) ** 3,
+                d * (5 - d) * (10 - 5 * d + d * d),
+                d * (10 - 10 * d + 5 * d * d - d ** 3),
+            )
+            assert chern_of_hypersurface(d) == expected, d
+
 
 class TestChernNumbers:
     def test_disjoint_union_adds(self):

@@ -1,6 +1,9 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
+
+import dtzero.cobordism
 
 from dtzero import (
     ChernNumbers,
@@ -65,6 +68,11 @@ class TestDecompose:
         assert dec.reconstruct() == ChernNumbers(1, 0, 0)
         m1, m2, m3 = dec.integer_multiples()
         assert (m1, m2, m3) == tuple(dec.m * r for r in dec.coefficients)
+
+    def test_singular_generator_matrix_is_refused(self, monkeypatch):
+        monkeypatch.setattr(dtzero.cobordism, "generator_matrix", lambda: ((1, 2, 3), (2, 4, 6), (0, 1, 1)))
+        with pytest.raises(ArithmeticError, match="generator matrix is singular"):
+            decompose(ChernNumbers(1, 0, 0))
 
     @given(chern_triples())
     @settings(max_examples=150, deadline=None)

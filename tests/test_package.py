@@ -8,19 +8,23 @@ import pytest
 import dtzero
 
 
+def run_fresh(code):
+    """Run `code` in a fresh interpreter that imports this dtzero."""
+    src = os.path.dirname(os.path.dirname(dtzero.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+
+
 def modules_loaded_by_main(*argv):
     """Run `cli.main(argv)` in a fresh interpreter; its stdout and the names
     of the dtzero, dataclasses and json modules it loaded."""
-    code = (
+    done = run_fresh(
         "import sys\n"
         "from dtzero.cli import main\n"
         f"assert main({list(argv)!r}) == 0\n"
         "wanted = ('dtzero', 'dataclasses', 'json')\n"
         "print(' '.join(sorted(m for m in sys.modules if m.startswith(wanted))), file=sys.stderr)\n"
     )
-    src = os.path.dirname(os.path.dirname(dtzero.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     return done.stdout, set(done.stderr.splitlines()[-1].split())
 
 
@@ -42,6 +46,18 @@ def test_spec_file_loads_json_but_not_dataclasses(tmp_path):
     assert out.splitlines()[0] == "# exponent\t-38"
     assert "json" in loaded
     assert "dataclasses" not in loaded
+
+
+def test_chern_calculus_loads_neither_series_nor_macmahon():
+    done = run_fresh(
+        "import sys\n"
+        "import dtzero.chern, dtzero.cobordism\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('dtzero'))))\n"
+    )
+    loaded = set(done.stdout.split())
+    assert "dtzero.chern" in loaded and "dtzero.cobordism" in loaded
+    assert "dtzero.series" not in loaded
+    assert "dtzero.macmahon" not in loaded
 
 
 def test_star_import_binds_every_public_name():
