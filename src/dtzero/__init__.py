@@ -19,15 +19,12 @@ __version__ = "0.1.0"
 
 _SUBMODULE_EXPORTS = {
     "series": ("OrderMismatchError", "TruncatedSeries"),
-    "macmahon": (
+    "macmahon": ("macmahon_neg", "macmahon_series", "sigma2"),
+    "plane_partitions": (
         "DEFAULT_ORACLE_BOUND",
         "PlanePartition",
         "count_plane_partitions",
         "iter_plane_partitions",
-        "log_macmahon_neg_coeffs",
-        "macmahon_neg",
-        "macmahon_series",
-        "sigma2",
     ),
     "chern": (
         "BUILTIN_THREEFOLDS",
@@ -68,16 +65,14 @@ _SUBMODULE_EXPORTS = {
         "partitions",
         "strict_diagonal_distance_sq",
     ),
-    "dt": (
-        "DEFAULT_ORDER",
-        "DTSeries",
+    "dt": ("DEFAULT_ORDER", "DTSeries", "NonIntegralSpecError", "dt_series"),
+    "degrees": (
         "MultiplicativityReport",
-        "NonIntegralSpecError",
         "RootArgumentReport",
         "UniversalityReport",
         "discrepancy_degrees",
         "dt_rational_power",
-        "dt_series",
+        "log_macmahon_neg_coeffs",
         "partition_product_sum",
         "reconstructed_coefficient",
         "verify_multiplicativity",

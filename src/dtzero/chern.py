@@ -253,6 +253,10 @@ def chern_of_hypersurface(degree: int) -> ChernNumbers:
 # resolving and labelling a spec recurse once per level.
 MAX_SPEC_DEPTH = 100
 
+# Most characters in a spec file.  Reading stops one character past it, so a
+# huge or endless file (such as /dev/zero) is refused in bounded memory.
+MAX_SPEC_FILE_CHARS = 2**22
+
 # Most digits in a scaled factor, in an integer or in each of p and q of a
 # "p/q" string.
 MAX_FACTOR_DIGITS = 30

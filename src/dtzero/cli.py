@@ -8,17 +8,24 @@ diagnostics and the version banner to stderr.  Exit codes: 0 success,
 """
 
 import argparse
+import gc
 import sys
 from fractions import Fraction
 
 from . import __version__
 from ._values import _json_number
 from .chern import BUILTIN_THREEFOLDS, ChernNumbers, ThreefoldSpec, twist_exponent
-from .chern import MAX_FACTOR_DIGITS, MAX_SPEC_DEPTH, SpecDocumentError, parse_spec_document  # re-exported
+from .chern import (  # re-exported
+    MAX_FACTOR_DIGITS,
+    MAX_SPEC_DEPTH,
+    MAX_SPEC_FILE_CHARS,
+    SpecDocumentError,
+    parse_spec_document,
+)
 from .cobordism import decompose, verify_exponent_identity
-from .dt import DEFAULT_ORDER, NonIntegralSpecError, discrepancy_degrees, dt_series
+from .dt import DEFAULT_ORDER, NonIntegralSpecError, dt_series
 
-__all__ = ["main", "parse_spec_document", "SpecDocumentError"]
+__all__ = ["main", "run", "parse_spec_document", "SpecDocumentError"]
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -63,7 +70,9 @@ def _spec_from_args(args, parser: argparse.ArgumentParser) -> ThreefoldSpec:
         import json  # only spec files and --format json need it
 
         with open(args.spec_file, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            text = handle.read(MAX_SPEC_FILE_CHARS + 1)
+        if len(text) > MAX_SPEC_FILE_CHARS:
+            raise SpecDocumentError(f"spec: a spec file has at most {MAX_SPEC_FILE_CHARS} characters")
         try:
             doc = json.loads(text)
         except ValueError as exc:  # malformed, or an integer too long to convert
@@ -166,6 +175,8 @@ def _cmd_cobordism(args, parser) -> int:
 
 
 def _cmd_discrepancy(args, parser) -> int:
+    from .degrees import discrepancy_degrees  # the series path never needs it
+
     if args.max_n < 1:
         parser.error("--max-n must be at least 1")
     if args.max_n > MAX_ORDER:
@@ -267,5 +278,22 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
 
 
+def run() -> None:
+    """Run `main` as a whole process, then exit with its code.
+
+    `dtzero`, `python -m dtzero` and `python -m dtzero.cli` start here.
+    Freezing the heap moves every object into the collector's permanent
+    generation, which the collections at interpreter exit do not traverse;
+    the process ends sooner, and stdio is still flushed and atexit hooks
+    still run.  `main` itself leaves the collector alone, because tests and
+    library callers call it in-process.
+    """
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -13,10 +13,17 @@ from itertools import combinations_with_replacement, product
 from math import factorial
 from typing import Iterable
 
-from . import macmahon
+from . import macmahon, plane_partitions
 from .chern import ChernNumbers, catalog
 from .cobordism import decompose, generator_chern_numbers, generator_determinant, verify_exponent_identity
-from .dt import discrepancy_degrees, dt_series, reconstructed_coefficient, verify_multiplicativity, verify_universality
+from .degrees import (
+    discrepancy_degrees,
+    log_macmahon_neg_coeffs,
+    reconstructed_coefficient,
+    verify_multiplicativity,
+    verify_universality,
+)
+from .dt import dt_series
 from .lattice import (
     PointConfig,
     SetPartition,
@@ -65,9 +72,9 @@ def _bell_numbers(count: int) -> list[int]:
 
 
 def _oracle_failures(series, limit: int):
-    bound = max(limit, macmahon.DEFAULT_ORACLE_BOUND)
+    bound = max(limit, plane_partitions.DEFAULT_ORACLE_BOUND)
     for k in range(limit + 1):
-        counted = macmahon.count_plane_partitions(k, bound=bound)
+        counted = plane_partitions.count_plane_partitions(k, bound=bound)
         if series[k] != counted:
             yield f"q^{k}: product formula {series[k]} vs enumeration {counted}"
 
@@ -75,7 +82,7 @@ def _oracle_failures(series, limit: int):
 def _log_closed_form_failures(limit: int):
     if limit >= 1:
         try:
-            macmahon.log_macmahon_neg_coeffs(limit)
+            log_macmahon_neg_coeffs(limit)
         except ArithmeticError as exc:
             yield str(exc)
 

@@ -1,17 +1,23 @@
+import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from dtzero import BUILTIN_THREEFOLDS, ThreefoldSpec, macmahon, verify
+import dtzero
+from dtzero import BUILTIN_THREEFOLDS, ThreefoldSpec, macmahon, plane_partitions, verify
 from dtzero.cli import (
     MAX_CHERN_NUMBER,
     MAX_FACTOR_DIGITS,
     MAX_ORDER,
     MAX_SPEC_DEPTH,
+    MAX_SPEC_FILE_CHARS,
     MAX_TWIST_EXPONENT,
     SpecDocumentError,
     main,
@@ -113,6 +119,19 @@ class TestErrorPaths:
         assert out == ""
         banner, *rest = err.splitlines()
         assert len(rest) == 1 and rest[0].startswith("error:") and "utf-8" in rest[0]
+
+    def test_spec_file_length_bound(self, tmp_path, capsys):
+        path = tmp_path / "padded.json"
+        doc = '{"builtin": "P3"}'
+        path.write_text(doc.ljust(MAX_SPEC_FILE_CHARS))
+        code, out, _ = run(capsys, "series", "--spec-file", str(path), "--order", "2")
+        assert code == 0 and out.splitlines()[-1] == "2\t150"
+        path.write_text(doc.ljust(MAX_SPEC_FILE_CHARS + 1))
+        code, out, err = run(capsys, "series", "--spec-file", str(path), "--order", "2")
+        assert code == 2
+        assert out == ""
+        banner, *rest = err.splitlines()
+        assert rest == [f"error: spec: a spec file has at most {MAX_SPEC_FILE_CHARS} characters"]
 
     def test_non_integral_spec_is_domain_error(self, tmp_path, capsys):
         path = tmp_path / "scaled.json"
@@ -469,13 +488,13 @@ class TestVerifyCommand:
 
     def test_fault_injection_reports_location(self, capsys, monkeypatch):
         # corrupt the oracle: the suite must fail and point at the spot
-        real = macmahon.count_plane_partitions
+        real = plane_partitions.count_plane_partitions
 
-        def corrupted(n, bound=macmahon.DEFAULT_ORACLE_BOUND):
+        def corrupted(n, bound=plane_partitions.DEFAULT_ORACLE_BOUND):
             value = real(n, bound)
             return value + 1 if n == 7 else value
 
-        monkeypatch.setattr(macmahon, "count_plane_partitions", corrupted)
+        monkeypatch.setattr(plane_partitions, "count_plane_partitions", corrupted)
         code, out, _ = run(capsys, "verify", "--suite", "macmahon", "--max-n", "8")
         assert code == 1
         failing = [line for line in out.splitlines() if line.startswith("FAIL")]
@@ -517,6 +536,34 @@ class TestVerifyCommand:
             assert {c["name"]: c["cases"] for c in checks}.items() <= passing.items()
         assert passing["lattice/fiber-multiplicity-sum"] == 1954
         assert passing["universality/disjoint-union-multiplicativity"] == 10
+
+
+class TestProcessEntry:
+    def test_main_leaves_the_collector_alone(self, capsys):
+        # only the process entry freezes the heap; in-process callers keep a normal collector
+        code, _, _ = run(capsys, "series", "--builtin", "P3", "--order", "2")
+        assert code == 0
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize("module", ["dtzero", "dtzero.cli"])
+    @pytest.mark.parametrize("argv, expected", [
+        (["series", "--builtin", "quintic", "--order", "200"], 0),  # long stdout, flushed after the freeze
+        (["series", "--builtin", "P3", "--order", "-1"], 2),
+        (["series", "--spec-file", "{tmp}/third.json"], 3),
+    ], ids=["quintic-200", "usage-error", "rational-spec"])
+    def test_process_matches_in_process_main(self, tmp_path, capsys, module, argv, expected):
+        (tmp_path / "third.json").write_text('{"scaled": {"factor": "1/3", "of": {"builtin": "P3"}}}')
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        src = os.path.dirname(os.path.dirname(dtzero.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-m", module, *argv], env=env, capture_output=True, text=True)
+        assert code == expected
+        assert (done.returncode, done.stdout, done.stderr) == (code, captured.out, captured.err)
 
 
 class TestSpecDocumentParsing:

@@ -1,11 +1,14 @@
 import importlib
 import os
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import dtzero
+from dtzero import cli
 
 
 def run_fresh(code):
@@ -34,9 +37,21 @@ def test_series_command_loads_neither_lattice_nor_verify():
     assert "dtzero.dt" in loaded and "dtzero.cobordism" in loaded
     assert "dtzero.lattice" not in loaded
     assert "dtzero.verify" not in loaded
+    # rational powers, degrees and their checks, and the plane-partition oracle
+    assert "dtzero.degrees" not in loaded
+    assert "dtzero.plane_partitions" not in loaded
     # the series-path records are NamedTuples, and json is for spec files and --format json
     assert "dataclasses" not in loaded
     assert "json" not in loaded
+
+
+def test_discrepancy_command_loads_degrees_but_no_checks():
+    out, loaded = modules_loaded_by_main("discrepancy", "--builtin", "P3", "--max-n", "2")
+    assert out.splitlines() == ["1\t20", "2\t-100"]
+    assert "dtzero.degrees" in loaded
+    assert "dtzero.verify" not in loaded
+    assert "dtzero.lattice" not in loaded
+    assert "dtzero.plane_partitions" not in loaded
 
 
 def test_spec_file_loads_json_but_not_dataclasses(tmp_path):
@@ -58,6 +73,19 @@ def test_chern_calculus_loads_neither_series_nor_macmahon():
     assert "dtzero.chern" in loaded and "dtzero.cobordism" in loaded
     assert "dtzero.series" not in loaded
     assert "dtzero.macmahon" not in loaded
+
+
+def test_every_launcher_runs_the_same_entry(monkeypatch):
+    # `dtzero` (the installed script) and `python -m dtzero` must both start at cli.run
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["dtzero"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.run
+    called = []
+    monkeypatch.setattr(cli, "run", lambda: called.append("run"))
+    runpy.run_module("dtzero", run_name="__main__")
+    assert called == ["run"]
 
 
 def test_star_import_binds_every_public_name():

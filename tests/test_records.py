@@ -1,4 +1,4 @@
-"""Value semantics of the records on the series path.
+"""Value semantics of the NamedTuple records.
 
 ChernNumbers, ThreefoldSpec, DTSeries, CobordismDecomposition and
 PlanePartition are NamedTuples: their repr, immutability, equality, hash
@@ -14,7 +14,7 @@ import pytest
 from dtzero.chern import ChernNumbers, ThreefoldSpec
 from dtzero.cobordism import CobordismDecomposition, decompose
 from dtzero.dt import DTSeries, dt_series
-from dtzero.macmahon import PlanePartition
+from dtzero.plane_partitions import PlanePartition
 from dtzero.series import TruncatedSeries
 
 P3 = ThreefoldSpec.builtin("P3")
