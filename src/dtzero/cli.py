@@ -4,11 +4,13 @@ Subcommands: series (coefficients of a threefold's generating function),
 cobordism (decomposition over the three generators), discrepancy
 (per-size degrees), verify (self-check suites).  Data goes to stdout,
 diagnostics and the version banner to stderr.  Exit codes: 0 success,
-1 property failure, 2 usage or schema error, 3 domain error.
+1 property failure, 2 usage or schema error, 3 domain error; a process
+whose stdout reader leaves early exits 141.
 """
 
 import argparse
 import gc
+import os
 import sys
 from fractions import Fraction
 
@@ -31,6 +33,7 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
+EXIT_BROKEN_PIPE = 128 + 13  # as if killed by SIGPIPE: the reader of stdout left
 
 # Largest --order, and largest discrepancy --max-n (the truncation order of
 # the series whose logarithm gives the degrees): about 4 s for the quintic.
@@ -69,8 +72,11 @@ def _spec_from_args(args, parser: argparse.ArgumentParser) -> ThreefoldSpec:
     if args.spec_file is not None:
         import json  # only spec files and --format json need it
 
-        with open(args.spec_file, "r", encoding="utf-8") as handle:
-            text = handle.read(MAX_SPEC_FILE_CHARS + 1)
+        try:
+            with open(args.spec_file, "r", encoding="utf-8") as handle:
+                text = handle.read(MAX_SPEC_FILE_CHARS + 1)
+        except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8, ...
+            raise SpecDocumentError(str(exc)) from None
         if len(text) > MAX_SPEC_FILE_CHARS:
             raise SpecDocumentError(f"spec: a spec file has at most {MAX_SPEC_FILE_CHARS} characters")
         try:
@@ -269,8 +275,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args, parser)
-    except (SpecDocumentError, OSError, UnicodeDecodeError) as exc:
-        # an invalid spec, or an unreadable spec file: missing, a directory, not UTF-8, ...
+    except SpecDocumentError as exc:  # an invalid spec, or an unreadable spec file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NonIntegralSpecError as exc:
@@ -287,9 +292,19 @@ def run() -> None:
     the process ends sooner, and stdio is still flushed and atexit hooks
     still run.  `main` itself leaves the collector alone, because tests and
     library callers call it in-process.
+
+    A reader of stdout that leaves early (`dtzero series ... | head`) is not
+    an error: the process prints nothing more and exits 141, the status of a
+    process killed by SIGPIPE.  stdout is pointed at the null device first,
+    so that the flush at exit does not fail again.
     """
     try:
         code = main()
+        if sys.stdout is not None:  # None when the process started with fd 1 closed
+            sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
     finally:
         gc.freeze()
     sys.exit(code)

@@ -14,7 +14,7 @@ appear.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Callable, Iterable, Mapping, Union
 
 from ._values import Rational, _exact
@@ -46,29 +46,70 @@ class InadmissibleScheduleError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _canonical(keys: Iterable) -> tuple[int, ...]:
+    """The restricted-growth string of `keys`: each key numbered by its first
+    occurrence, so that equal key sequences up to renaming give one string."""
+    first: dict = {}
+    return tuple(first.setdefault(k, len(first)) for k in keys)
+
+
 class SetPartition:
     """An indexed partition of the ground set {1..n}.
 
-    Blocks are canonicalized by sorting on their minimum, so equality is
-    equality of the underlying equivalence relation.
+    Stored as its restricted-growth string: labels()[i-1] is the block of
+    element i, blocks numbered by their least element.  Equality and hashing
+    are those of the string, so equality is equality of the underlying
+    equivalence relation.  `blocks` lists the blocks as frozensets in that
+    order.  Immutable; `<=` is refinement, not tuple order.
     """
 
-    n: int
-    blocks: tuple[frozenset[int], ...]
+    __slots__ = ("n", "blocks", "_labels")
 
-    def __post_init__(self):
-        blocks = tuple(frozenset(int(e) for e in b) for b in self.blocks)
-        if any(not b for b in blocks):
-            raise ValueError("blocks must be non-empty")
-        seen: set[int] = set()
-        for b in blocks:
-            if seen & b:
-                raise ValueError("blocks must be pairwise disjoint")
-            seen |= b
-        if seen != set(range(1, self.n + 1)):
-            raise ValueError(f"blocks must cover exactly {{1..{self.n}}}")
-        object.__setattr__(self, "blocks", tuple(sorted(blocks, key=min)))
+    def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise ValueError(f"n must be a non-negative integer, got {n!r}")
+        owner: list = [None] * n
+        for tag, block in enumerate(blocks):
+            block = frozenset(block)
+            if not block:
+                raise ValueError("blocks must be non-empty")
+            for e in block:
+                if isinstance(e, bool) or not isinstance(e, int):
+                    raise TypeError(f"elements must be integers, got {type(e).__name__}")
+                if not 1 <= e <= n:
+                    raise ValueError(f"blocks must cover exactly {{1..{n}}}")
+                if owner[e - 1] is not None:
+                    raise ValueError("blocks must be pairwise disjoint")
+                owner[e - 1] = tag
+        if None in owner:
+            raise ValueError(f"blocks must cover exactly {{1..{n}}}")
+        self._assign(owner)
+
+    def _assign(self, keys: Iterable) -> None:
+        labels = _canonical(keys)
+        blocks: list[list[int]] = [[] for _ in range(max(labels, default=-1) + 1)]
+        for e, label in enumerate(labels, start=1):
+            blocks[label].append(e)
+        object.__setattr__(self, "n", len(labels))
+        object.__setattr__(self, "_labels", labels)
+        object.__setattr__(self, "blocks", tuple(map(frozenset, blocks)))
+
+    @classmethod
+    def _of(cls, keys: Iterable) -> "SetPartition":
+        """The partition of {1..len(keys)} that puts i and j together iff
+        keys[i-1] == keys[j-1]."""
+        self = object.__new__(cls)
+        self._assign(keys)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SetPartition is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("SetPartition is immutable")
+
+    def __reduce__(self):
+        return SetPartition, (self.n, self.blocks)
 
     @classmethod
     def singletons(cls, n: int) -> "SetPartition":
@@ -77,8 +118,8 @@ class SetPartition:
 
     @classmethod
     def whole(cls, n: int) -> "SetPartition":
-        """The top element: one block."""
-        return cls(n, (frozenset(range(1, n + 1)),))
+        """The top element: one block (none when n = 0)."""
+        return cls(n, (frozenset(range(1, n + 1)),) if n else ())
 
     @property
     def rank(self) -> int:
@@ -86,11 +127,15 @@ class SetPartition:
 
     def labels(self) -> tuple[int, ...]:
         """labels()[i-1] is the index of the block containing element i."""
-        out = [0] * self.n
-        for idx, b in enumerate(self.blocks):
-            for e in b:
-                out[e - 1] = idx
-        return tuple(out)
+        return self._labels
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SetPartition):
+            return NotImplemented
+        return self._labels == other._labels
+
+    def __hash__(self) -> int:
+        return hash(self._labels)
 
     def _same_ground_set(self, other: "SetPartition") -> None:
         if not isinstance(other, SetPartition):
@@ -99,34 +144,25 @@ class SetPartition:
             raise ValueError(f"ground sets differ: {self.n} vs {other.n}")
 
     def __le__(self, other: "SetPartition") -> bool:
-        """self <= other iff self refines other."""
+        """self <= other iff self refines other: each block of self meets
+        exactly one block of other."""
         self._same_ground_set(other)
-        coarse = other.labels()
-        for b in self.blocks:
-            it = iter(b)
-            first = coarse[next(it) - 1]
-            if any(coarse[e - 1] != first for e in it):
-                return False
-        return True
+        return len(set(zip(self._labels, other._labels))) == len(self.blocks)
 
     def __lt__(self, other: "SetPartition") -> bool:
         return self != other and self <= other
 
     def meet(self, other: "SetPartition") -> "SetPartition":
-        """Common refinement: blockwise intersections, empties dropped."""
+        """Common refinement: i and j together iff both partitions put them
+        together."""
         self._same_ground_set(other)
-        blocks = []
-        for a in self.blocks:
-            for b in other.blocks:
-                common = a & b
-                if common:
-                    blocks.append(common)
-        return SetPartition(self.n, tuple(blocks))
+        return SetPartition._of(zip(self._labels, other._labels))
 
     def join(self, other: "SetPartition") -> "SetPartition":
-        """Transitive closure of the union of the two equivalence relations."""
+        """Transitive closure of the union of the two equivalence relations:
+        the blocks of self, merged wherever a block of other meets two."""
         self._same_ground_set(other)
-        parent = list(range(self.n + 1))
+        parent = list(range(len(self.blocks)))
 
         def find(i: int) -> int:
             while parent[i] != i:
@@ -134,86 +170,61 @@ class SetPartition:
                 i = parent[i]
             return i
 
-        for part in (self, other):
-            for b in part.blocks:
-                it = iter(sorted(b))
-                root = find(next(it))
-                for e in it:
-                    parent[find(e)] = root
-        groups: dict[int, set[int]] = {}
-        for e in range(1, self.n + 1):
-            groups.setdefault(find(e), set()).add(e)
-        return SetPartition(self.n, tuple(frozenset(g) for g in groups.values()))
+        anchor: dict[int, int] = {}
+        for mine, theirs in zip(self._labels, other._labels):
+            parent[find(mine)] = find(anchor.setdefault(theirs, mine))
+        return SetPartition._of(find(label) for label in self._labels)
 
     def __repr__(self) -> str:
         body = "|".join("".join(str(e) for e in sorted(b)) for b in self.blocks)
         return f"SetPartition({self.n}, {body})"
 
 
-def _sort_key(p: SetPartition) -> tuple:
-    return tuple(tuple(sorted(b)) for b in p.blocks)
-
-
 @lru_cache(maxsize=None)
 def partitions(n: int) -> tuple[SetPartition, ...]:
-    """All partitions of {1..n}, enumerated by restricted-growth strings."""
+    """All partitions of {1..n}, in lexicographic order of their
+    restricted-growth strings."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n == 0:
-        return (SetPartition(0, ()),)
-    out: list[SetPartition] = []
-    rgs = [0] * n
-
-    def rec(i: int, kmax: int):
-        if i == n:
-            blocks: dict[int, set[int]] = {}
-            for e, label in enumerate(rgs, start=1):
-                blocks.setdefault(label, set()).add(e)
-            out.append(SetPartition(n, tuple(frozenset(b) for b in blocks.values())))
-            return
-        for v in range(kmax + 1):
-            rgs[i] = v
-            rec(i + 1, max(kmax, v + 1))
-
-    rec(0, 0)
-    return tuple(out)
+    strings: list[tuple[int, ...]] = [()]
+    for _ in range(n):  # each string grows by an old block or one new block
+        strings = [s + (v,) for s in strings for v in range(max(s, default=-1) + 2)]
+    return tuple(map(SetPartition._of, strings))
 
 
 @lru_cache(maxsize=None)
-def _down_sets(n: int) -> tuple[dict[SetPartition, int], tuple[tuple[int, ...], ...]]:
+def _down_sets(n: int) -> tuple[dict[tuple[int, ...], int], tuple[tuple[int, ...], ...]]:
     """The down-set table of partitions(n), built on first use.
 
-    Returns the index of each partition in partitions(n) and, for each
-    index, the indices of its strict refinements in rank order (ties
-    broken by block listing), so that every down-set lists each gamma after
-    all of gamma's own refinements.
+    Returns the index in partitions(n) of each partition's restricted-growth
+    string and, for each index, the indices of its strict refinements in rank
+    order (ties broken by index), so that every down-set lists each gamma
+    after all of gamma's own refinements.
 
     The interval [0, beta] is the product of the lattices Pi_{|b|} over the
     blocks b of beta (Rota 1964; Stanley, EC1 3.10), so each down-set is
-    enumerated blockwise from partitions(|b|), never by a pairwise scan.
-    The table holds one entry per related pair gamma <= beta: 2 471 at
-    n = 6, 19 302 at n = 7 and 167 894 at n = 8.
+    enumerated blockwise from partitions(|b|), never by a pairwise scan: an
+    element keyed by its block of beta and its label in that block's
+    sub-partition.  The table holds one entry per related pair gamma <= beta:
+    2 471 at n = 6, 19 302 at n = 7 and 167 894 at n = 8.
     """
     ps = partitions(n)
-    index = {p: i for i, p in enumerate(ps)}
-    by_labels = {p.labels(): i for i, p in enumerate(ps)}
-    order = sorted(range(len(ps)), key=lambda i: (ps[i].rank, _sort_key(ps[i])))
-    position = {i: at for at, i in enumerate(order)}
+    index = {p.labels(): i for i, p in enumerate(ps)}
     down = []
     for i, beta in enumerate(ps):
-        blocks = [sorted(b) for b in beta.blocks]
-        choices = [[q.labels() for q in partitions(len(b))] for b in blocks]
+        # each element as (its block, its position within the block)
+        seen = [0] * len(beta.blocks)
+        places = []
+        for label in beta.labels():
+            places.append((label, seen[label]))
+            seen[label] += 1
+        choices = [[q.labels() for q in partitions(size)] for size in seen]
         below = []
         for combo in product(*choices):
-            tagged = [None] * n
-            for tag, (elems, sub) in enumerate(zip(blocks, combo)):
-                for e, label in zip(elems, sub):
-                    tagged[e - 1] = (tag, label)
-            first: dict = {}
-            j = by_labels[tuple(first.setdefault(t, len(first)) for t in tagged)]
+            j = index[_canonical((label, combo[label][at]) for label, at in places)]
             if j != i:
-                below.append(j)
-        down.append(tuple(sorted(below, key=position.__getitem__)))
+                below.append((ps[j].rank, j))
+        down.append(tuple(j for _, j in sorted(below)))
     return index, tuple(down)
 
 
@@ -341,33 +352,15 @@ def fiber_multiplicity_sum(p: SetPartition, x: PointConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _coincidence_against_refinement(coarser: SetPartition, finer: SetPartition, x: PointConfig) -> bool:
-    """True iff some pair related by `coarser` but not by `finer` coincides in x."""
-    fine = finer.labels()
-    for b in coarser.blocks:
-        elems = sorted(b)
-        for i, a in enumerate(elems):
-            for c in elems[i + 1:]:
-                if fine[a - 1] != fine[c - 1] and x.point(a) == x.point(c):
-                    return True
-    return False
-
-
 def in_discrepancy_set(a: SetPartition, b: SetPartition, x: PointConfig) -> bool:
-    """Membership in the discrepancy set of the pair (a, b).
-
-    Coincidence of a pair of labels that one partition relates and the
-    other does not; incomparable pairs route through the meet, and the
-    comparable case reduces to the direct definition.
-    """
+    """Membership in the discrepancy set of the pair (a, b): some pair of
+    labels that exactly one of a and b relates coincides in x."""
     a._same_ground_set(b)
     _check_config(a, x)
-    if a == b:
-        return False
-    common = a.meet(b)
-    return (
-        _coincidence_against_refinement(a, common, x)
-        or _coincidence_against_refinement(b, common, x)
+    la, lb, pts = a.labels(), b.labels(), x.points
+    return any(
+        (la[i] == la[j]) != (lb[i] == lb[j]) and pts[i] == pts[j]
+        for i, j in combinations(range(a.n), 2)
     )
 
 
@@ -443,19 +436,6 @@ class EpsilonSchedule:
             raise ValueError("schedule and partition ground sets differ")
         return self.c_sq * self.ratio_sq ** (p.rank - self.n)
 
-    def check_admissible(self) -> None:
-        """Verify the schedule invariants exhaustively (small n only):
-        every radius below c, and the ratio met on every strict pair."""
-        for p in partitions(self.n):
-            if not 0 < self.eps_sq(p) < self.c_sq:
-                raise InadmissibleScheduleError(f"radius at {p!r} is not inside (0, c)")
-        for a in partitions(self.n):
-            for b in partitions(self.n):
-                if b < a and self.eps_sq(a) < self.ratio_sq * self.eps_sq(b):
-                    raise InadmissibleScheduleError(
-                        f"ratio violated on {b!r} < {a!r}"
-                    )
-
 
 def classify_q_set(alpha: SetPartition, x: PointConfig, eps: EpsilonSchedule) -> SetPartition:
     """The unique beta <= alpha whose Q-set contains x.
@@ -472,7 +452,7 @@ def classify_q_set(alpha: SetPartition, x: PointConfig, eps: EpsilonSchedule) ->
         raise ValueError("schedule and partition ground sets differ")
     ps = partitions(alpha.n)
     index, down = _down_sets(alpha.n)
-    a = index[alpha]
+    a = index[alpha.labels()]
     deviations: dict[frozenset[int], Fraction] = {}
     radii: dict[int, Fraction] = {}
     candidates = []
@@ -483,13 +463,13 @@ def classify_q_set(alpha: SetPartition, x: PointConfig, eps: EpsilonSchedule) ->
         if _diagonal_distance_sq(gamma, x, deviations) < radii[gamma.rank]:
             candidates.append(i)
     covered = {j for i in candidates for j in down[i]}
-    maximal = [ps[i] for i in candidates if i not in covered]
+    maximal = sorted(i for i in candidates if i not in covered)
     if len(maximal) != 1:
-        found = ", ".join(repr(g) for g in sorted(maximal, key=_sort_key))
+        found = ", ".join(repr(ps[i]) for i in maximal)
         raise InadmissibleScheduleError(
             f"inadmissible schedule for this configuration: maximal candidates {found}"
         )
-    return maximal[0]
+    return ps[maximal[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +498,7 @@ def delta_transform(alpha: SetPartition, values: Union[Mapping, Callable]) -> di
         fetch = values
     ps = partitions(alpha.n)
     index, down = _down_sets(alpha.n)
-    a = index[alpha]
+    a = index[alpha.labels()]
     delta: dict[int, object] = {}
     for i in down[a] + (a,):
         acc = fetch(ps[i])

@@ -565,6 +565,28 @@ class TestProcessEntry:
         assert code == expected
         assert (done.returncode, done.stdout, done.stderr) == (code, captured.out, captured.err)
 
+    @pytest.mark.parametrize("argv, keep", [
+        (["series", "--builtin", "P3", "--order", "20"], 0),
+        # 76 kB of output, more than the pipe holds, so the reader leaves mid-stream
+        (["series", "--c111", "0", "--c12", "-240000", "--c3", "0", "--order", "200"], 20),
+    ], ids=["no-reader", "head-c-20"])
+    def test_reader_leaving_early_exits_141_quietly(self, argv, keep):
+        src = os.path.dirname(os.path.dirname(dtzero.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        read_end, write_end = os.pipe()
+        if not keep:
+            os.close(read_end)
+        proc = subprocess.Popen([sys.executable, "-m", "dtzero", *argv], env=env,
+                                stdout=write_end, stderr=subprocess.PIPE)
+        os.close(write_end)
+        if keep:
+            head = os.read(read_end, keep)
+            os.close(read_end)
+            assert b"# exponent\t240000\n".startswith(head)
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 141
+        assert err.decode() == f"dtzero {dtzero.__version__}\n"
+
 
 class TestSpecDocumentParsing:
     def test_requires_single_key(self):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import permutations, product
@@ -73,6 +75,35 @@ class TestSetPartition:
             P(3, {1, 2})
         with pytest.raises(ValueError, match="non-empty"):
             SetPartition(2, ({1, 2}, frozenset()))
+
+    @pytest.mark.parametrize("element", [1.5, 2.0, "1", True])
+    def test_non_integer_elements_raise(self, element):
+        with pytest.raises(TypeError, match="integers"):
+            SetPartition(2, ({element, 2},))
+
+    @pytest.mark.parametrize("n", [-1, 2.0, "2", True])
+    def test_ground_set_size_must_be_a_non_negative_integer(self, n):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            SetPartition(n, ())
+
+    def test_negative_ground_set_size_raises(self):
+        for make in (SetPartition.singletons, SetPartition.whole):
+            with pytest.raises(ValueError, match="non-negative integer"):
+                make(-1)
+
+    def test_empty_ground_set(self):
+        empty = partitions(0)[0]
+        assert SetPartition.whole(0) == SetPartition.singletons(0) == empty
+        assert empty.blocks == () and empty.labels() == () and empty.rank == 0
+
+    def test_immutable_and_picklable(self):
+        p = P(4, {1, 3}, {2}, {4})
+        with pytest.raises(AttributeError):
+            p.n = 5
+        with pytest.raises(AttributeError):
+            del p.blocks
+        assert pickle.loads(pickle.dumps(p)) == p
+        assert copy.deepcopy(p) == p and copy.copy(p) == p
 
     def test_distinguished_elements(self):
         assert SetPartition.singletons(3) == P(3, {1}, {2}, {3})
@@ -290,7 +321,6 @@ class TestDiagonalDistance:
 class TestEpsilonSchedule:
     def test_radii_below_bound_and_ratio(self):
         sched = EpsilonSchedule(n=4, c_sq=Fraction(1, 64), ratio_sq=Fraction(256))
-        sched.check_admissible()
         for a in partitions(4):
             assert 0 < sched.eps_sq(a) < sched.c_sq
             for b in partitions(4):
@@ -301,7 +331,6 @@ class TestEpsilonSchedule:
         x = config(0, 8)
         sched = EpsilonSchedule.default_for(x)
         assert sched.c_sq == Fraction(64, 64)
-        sched.check_admissible()
 
     def test_coincident_configuration_gets_a_schedule(self):
         sched = EpsilonSchedule.default_for(config(1, 1, 1))

@@ -1,10 +1,11 @@
-"""The down-set table, delta_transform and classify_q_set against exhaustive
-oracles.
+"""SetPartition's restricted-growth representation, the down-set table,
+delta_transform and classify_q_set against exhaustive oracles.
 
-The oracles are the straightforward forms: scan every partition of {1..n}
-with `<=`, run the quadratic discrepancy recursion over the scanned
-interval, and classify by computing the diagonal distance of every
-partition.  They are slow on purpose and share no code path with the
+The oracles are the straightforward forms: order, meet, join and labels
+computed from `.blocks` with frozenset operations alone; scan every
+partition of {1..n} with `<=`, run the quadratic discrepancy recursion over
+the scanned interval, and classify by computing the diagonal distance of
+every partition.  They are slow on purpose and share no code path with the
 table-driven library functions beyond SetPartition itself.
 """
 
@@ -22,10 +23,52 @@ from dtzero import (
     SetPartition,
     classify_q_set,
     delta_transform,
+    in_discrepancy_set,
     partitions,
     strict_diagonal_distance_sq,
 )
 from dtzero.lattice import _down_sets
+
+
+def oracle_refines(a, b):
+    """Every block of a lies inside some block of b."""
+    return all(any(x <= y for y in b.blocks) for x in a.blocks)
+
+
+def oracle_meet(a, b):
+    """The non-empty pairwise intersections of the blocks."""
+    return frozenset(x & y for x in a.blocks for y in b.blocks if x & y)
+
+
+def oracle_join(a, b):
+    """Blocks of a, merged through each block of b that meets several."""
+    groups = set(a.blocks)
+    for y in b.blocks:
+        touching = {g for g in groups if g & y}
+        groups = (groups - touching) | {frozenset().union(*touching)}
+    return frozenset(groups)
+
+
+def oracle_labels(p):
+    """Element i's block, numbered by the rank of the block's least element."""
+    firsts = sorted(min(x) for x in p.blocks)
+    return tuple(
+        firsts.index(min(x)) for i in range(1, p.n + 1) for x in p.blocks if i in x
+    )
+
+
+def oracle_discrepancy(a, b, x):
+    """The meet-routed definition: a pair related by a or by b, but not by
+    their meet, whose points coincide."""
+    if frozenset(a.blocks) == frozenset(b.blocks):
+        return False
+    common = oracle_meet(a, b)
+    return any(
+        x.point(i) == x.point(j) and not any({i, j} <= z for z in common)
+        for p in (a, b)
+        for block in p.blocks
+        for i, j in combinations(sorted(block), 2)
+    )
 
 
 def oracle_interval(alpha):
@@ -73,13 +116,39 @@ def int_values(n):
     return {p: (7 * i * i - 13 * i + 5) % 101 - 50 for i, p in enumerate(partitions(n))}
 
 
+class TestRepresentationOracle:
+    @pytest.mark.parametrize("n", range(6))
+    def test_every_pair(self, n):
+        ps = partitions(n)
+        for a in ps:
+            assert a.labels() == oracle_labels(a)
+            assert a.rank == n - len(a.blocks)
+            assert [min(x) for x in a.blocks] == sorted(min(x) for x in a.blocks)
+            for b in ps:
+                same = frozenset(a.blocks) == frozenset(b.blocks)
+                assert (a == b) == same
+                assert not same or hash(a) == hash(b)
+                assert (a <= b) == oracle_refines(a, b)
+                assert frozenset(a.meet(b).blocks) == oracle_meet(a, b)
+                assert frozenset(a.join(b).blocks) == oracle_join(a, b)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_discrepancy_every_two_site_configuration(self, n):
+        sites = ((Fraction(0), Fraction(0), Fraction(0)), (Fraction(1), Fraction(0), Fraction(0)))
+        ps = partitions(n)
+        for x in map(PointConfig, product(sites, repeat=n)):
+            for a in ps:
+                for b in ps:
+                    assert in_discrepancy_set(a, b, x) == oracle_discrepancy(a, b, x)
+
+
 class TestDownSetTable:
     @pytest.mark.parametrize("n", range(7))
     def test_matches_scan(self, n):
         ps = partitions(n)
         index, down = _down_sets(n)
         for i, beta in enumerate(ps):
-            assert index[beta] == i
+            assert index[beta.labels()] == i
             assert sorted(down[i]) == [j for j, g in enumerate(ps) if g < beta]
 
     @pytest.mark.parametrize("n", range(7))
