@@ -46,6 +46,13 @@ class InadmissibleScheduleError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _ground_set_size(n) -> int:
+    """`n` itself, once it is known to be a non-negative integer."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise ValueError(f"n must be a non-negative integer, got {n!r}")
+    return n
+
+
 def _canonical(keys: Iterable) -> tuple[int, ...]:
     """The restricted-growth string of `keys`: each key numbered by its first
     occurrence, so that equal key sequences up to renaming give one string."""
@@ -66,9 +73,7 @@ class SetPartition:
     __slots__ = ("n", "blocks", "_labels")
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-            raise ValueError(f"n must be a non-negative integer, got {n!r}")
-        owner: list = [None] * n
+        owner: list = [None] * _ground_set_size(n)
         for tag, block in enumerate(blocks):
             block = frozenset(block)
             if not block:
@@ -114,12 +119,12 @@ class SetPartition:
     @classmethod
     def singletons(cls, n: int) -> "SetPartition":
         """The bottom element: every element alone."""
-        return cls(n, tuple(frozenset([i]) for i in range(1, n + 1)))
+        return cls._of(range(_ground_set_size(n)))
 
     @classmethod
     def whole(cls, n: int) -> "SetPartition":
         """The top element: one block (none when n = 0)."""
-        return cls(n, (frozenset(range(1, n + 1)),) if n else ())
+        return cls._of([0] * _ground_set_size(n))
 
     @property
     def rank(self) -> int:

@@ -587,6 +587,25 @@ class TestProcessEntry:
         assert proc.returncode == 141
         assert err.decode() == f"dtzero {dtzero.__version__}\n"
 
+    @pytest.mark.parametrize("stderr", ["closed", "read-only"])
+    @pytest.mark.parametrize("argv, expected", [
+        (["series", "--builtin", "P3", "--order", "2"], 0),
+        (["series", "--spec-file", "{tmp}/third.json"], 3),
+    ], ids=["answer", "domain-error"])
+    def test_unwritable_stderr_keeps_stdout_and_exit_code(self, tmp_path, capsys, stderr, argv, expected):
+        # `2>&-` closes fd 2; a wrapper script run in its place can leave fd 2 open read-only
+        (tmp_path / "third.json").write_text('{"scaled": {"factor": "1/3", "of": {"builtin": "P3"}}}')
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        code, out, _ = run(capsys, *argv)
+        src = os.path.dirname(os.path.dirname(dtzero.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        with open(os.devnull, "rb") as read_only:
+            fd2 = {"preexec_fn": lambda: os.close(2)} if stderr == "closed" else {"stderr": read_only}
+            done = subprocess.run([sys.executable, "-m", "dtzero", *argv], env=env,
+                                  stdout=subprocess.PIPE, text=True, **fd2)
+        assert code == expected
+        assert (done.returncode, done.stdout) == (code, out)
+
 
 class TestSpecDocumentParsing:
     def test_requires_single_key(self):

@@ -67,6 +67,35 @@ class TestDtSeries:
             dt_series(half, 4)
 
 
+def sigma2_power(k, order):
+    """The coefficients of M(-q)^k in integers, by n*b_n = k * sum_j (-1)^j sigma2(j) * b_(n-j)
+    with sigma2(j) the sum of the squares of the divisors of j; an oracle for
+    dt_series that shares no code with the series ring."""
+    sigma2 = [0] + [sum(d * d for d in range(1, j + 1) if j % d == 0) for j in range(1, order + 1)]
+    b = [1]
+    for n in range(1, order + 1):
+        total = k * sum((-1) ** j * sigma2[j] * b[n - j] for j in range(1, n + 1))
+        assert total % n == 0
+        b.append(total // n)
+    return tuple(b)
+
+
+class TestAgainstSigma2Recurrence:
+    @pytest.mark.parametrize("spec", list(catalog()) + [ThreefoldSpec.hypersurface(d) for d in range(1, 10)],
+                             ids=lambda spec: spec.label())
+    def test_catalog_and_hypersurfaces_at_order_40(self, spec):
+        d = dt_series(spec, 40)
+        assert d.coefficients() == sigma2_power(d.exponent, 40)
+
+    @pytest.mark.parametrize("k", [10**12, -10**12])
+    def test_twist_exponent_cap_at_order_100(self, k):
+        # K = c3 - c1c2 at the CLI's cap, each Chern number within its own
+        spec = ThreefoldSpec.explicit(ChernNumbers(0, -k // 2, k // 2))
+        d = dt_series(spec, 100)
+        assert d.exponent == k
+        assert d.coefficients() == sigma2_power(k, 100)
+
+
 class TestRationalPower:
     def test_half_of_p3_squares_back(self):
         half = ThreefoldSpec.scaled(Fraction(1, 2), P3)

@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 
 from dtzero import OrderMismatchError, TruncatedSeries
 
-from conftest import series, series_pair, series_triple
+from conftest import rationals, series, series_pair, series_triple
 
 
 def S(*coeffs, order=None):
@@ -119,6 +119,76 @@ class TestIntPow:
     def test_non_integer_exponent(self):
         with pytest.raises(TypeError):
             S(1, 1) ** Fraction(1, 2)
+
+
+def power_by_products(a, k):
+    """a**k for k >= 0 as k products; an oracle for __pow__."""
+    total = TruncatedSeries.one(a.order)
+    for _ in range(k):
+        total = total * a
+    return total
+
+
+def inverse_by_division(a):
+    """1/a for a unit by long division, b_0 = 1/a_0 and
+    b_m = -sum_{j=1..m} a_j*b_{m-j} / a_0; an oracle for inverse()."""
+    b = [1 / a[0]]
+    for m in range(1, a.order + 1):
+        b.append(-sum(a[j] * b[m - j] for j in range(1, m + 1)) / a[0])
+    return TruncatedSeries(b)
+
+
+@st.composite
+def units(draw, max_order=10):
+    """Series whose constant term is neither 0 nor 1, so that a_0^K and the
+    division by a_0 in the power recurrence are both exercised."""
+    a = list(draw(series(max_order=max_order)).coefficients)
+    a[0] = draw(rationals(bound=3, max_denominator=5).filter(lambda c: c not in (0, 1)))
+    return TruncatedSeries(a)
+
+
+class TestPowAgainstProducts:
+    @given(units(), st.integers(min_value=0, max_value=12))
+    @settings(max_examples=60, deadline=None)
+    def test_non_negative_power_of_a_unit(self, a, k):
+        assert a ** k == power_by_products(a, k)
+
+    @given(units(), st.integers(min_value=1, max_value=12))
+    @settings(max_examples=60, deadline=None)
+    def test_negative_power_of_a_unit(self, a, k):
+        assert a ** -k == power_by_products(inverse_by_division(a), k)
+
+    @given(units(max_order=6))
+    @settings(max_examples=40, deadline=None)
+    def test_inverse_is_long_division(self, a):
+        assert a.inverse() == inverse_by_division(a)
+
+    @given(units(max_order=8), st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=8),
+           st.integers(min_value=2, max_value=16))
+    @settings(max_examples=80, deadline=None)
+    def test_power_of_a_non_unit(self, u, v, k, order):
+        # q^v * u, with v*k on either side of the order
+        a = TruncatedSeries(([0] * v + list(u.coefficients) + [0] * order)[:order + 1])
+        assert a ** k == power_by_products(a, k)
+
+    @pytest.mark.parametrize("v, k, order", [(1, 5, 5), (2, 3, 6), (3, 2, 5), (1, 7, 6), (5, 1, 4)],
+                             ids=["vk=N", "vk=N-even", "vk<N", "vk=N+1", "v>N"])
+    def test_shift_at_the_order(self, v, k, order):
+        a = S(*([0] * v + [2, -1, Fraction(1, 3)]))
+        a = TruncatedSeries((list(a.coefficients) + [0] * order)[:order + 1])
+        assert a ** k == power_by_products(a, k)
+        assert (a ** k == TruncatedSeries.zero(order)) == (v * k > order)
+
+    def test_zero_series(self):
+        zero = TruncatedSeries.zero(4)
+        assert zero ** 0 == TruncatedSeries.one(4)
+        assert zero ** 1 == zero ** 3 == zero
+        with pytest.raises(ValueError, match="not a unit"):
+            zero ** -1
+
+    def test_zero_order_series(self):
+        assert S(Fraction(2, 3)) ** -3 == S(Fraction(27, 8))
+        assert S(0) ** 2 == S(0) and S(0) ** 0 == S(1)
 
 
 class TestLogExp:
