@@ -17,6 +17,13 @@ def _exact(value) -> Fraction:
     return Fraction(value)
 
 
+def _non_negative_int(value, name: str) -> int:
+    """`value` itself, once it is known to be a non-negative int (bool refused)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def _json_number(value):
     """Exact rationals for JSON: plain ints stay ints, fractions become 'p/q'."""
     if isinstance(value, Fraction):

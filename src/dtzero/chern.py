@@ -212,13 +212,21 @@ def _chern_numbers(total: _Poly, caps: tuple[int, ...], volume: int) -> ChernNum
     return ChernNumbers(*(volume * p.get(caps, 0) for p in (_pow(c1, 3, caps), _mul(c1, c2, caps), c3)))
 
 
+def _int(value) -> int:
+    """`value` itself, once it is known to be an int; a float or a bool is
+    refused rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {_clip(repr(value))}")
+    return value
+
+
 def chern_of_projective_space_product(dims: Sequence[int]) -> ChernNumbers:
     """Chern numbers of a product of projective spaces with the given dimensions.
 
     Expands prod_j (1+h_j)^(d_j+1) in the truncated ring where h_j^(d_j+1) = 0
     and integrates degree-three monomials against the top class.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(map(_int, dims))
     if any(d < 1 for d in dims):
         raise ValueError("projective factors must have positive dimension")
     if sum(dims) != 3:
@@ -238,7 +246,7 @@ def chern_of_hypersurface(degree: int) -> ChernNumbers:
     1/(1+dh) is the finite sum of (-dh)^k for k <= 3, and the hyperplane class
     integrates to the degree: int_X h^3 = d.
     """
-    d = int(degree)
+    d = _int(degree)
     if d < 1:
         raise ValueError("hypersurface degree must be positive")
     total = _mul(_pow({(0,): 1, (1,): 1}, 5, (3,)), {(k,): (-d) ** k for k in range(4)}, (3,))
@@ -413,11 +421,11 @@ class ThreefoldSpec(NamedTuple):
 
     @classmethod
     def product(cls, dims: Iterable[int]) -> "ThreefoldSpec":
-        return cls("product", tuple(int(d) for d in dims))
+        return cls("product", tuple(map(_int, dims)))
 
     @classmethod
     def hypersurface(cls, degree: int) -> "ThreefoldSpec":
-        return cls("hypersurface", int(degree))
+        return cls("hypersurface", _int(degree))
 
     @classmethod
     def disjoint_union(cls, parts: Iterable["ThreefoldSpec"]) -> "ThreefoldSpec":

@@ -37,15 +37,12 @@ def dt_rational_power(spec: ThreefoldSpec, order: int = DEFAULT_ORDER) -> tuple[
     """M(-q) raised to a rational twist exponent, for formal cobordism
     combinations.
 
-    For exponent p/q the series is the unique q-th root with constant
-    term 1 of M(-q)^p; coefficients may be non-integer rationals.
-    Returns the series and the exponent.
+    For exponent p/m the series is the one power M(-q)^(p/m): the unique
+    series with constant term 1 whose m-th power is M(-q)^p; coefficients
+    may be non-integer rationals.  Returns the series and the exponent.
     """
-    c = spec.resolve()
-    exponent = Fraction(twist_exponent(c))
-    base = _macmahon_neg_cached(order)
-    series = (base ** exponent.numerator).root_m(exponent.denominator)
-    return series, exponent
+    exponent = Fraction(twist_exponent(spec.resolve()))
+    return _macmahon_neg_cached(order) ** exponent, exponent
 
 
 class MultiplicativityReport(NamedTuple):
@@ -77,13 +74,15 @@ class RootArgumentReport(NamedTuple):
 
 
 def verify_root_argument(spec: ThreefoldSpec, m: int, order: int = DEFAULT_ORDER) -> RootArgumentReport:
-    """Raise the series to the m-th power, take the unique m-th root with
-    constant term 1, and confirm it returns the series with integer
-    coefficients.  This is the closing step of the main uniqueness
-    argument, run as arithmetic."""
+    """Raise the series to the m-th power, take the 1/m-th power of that,
+    which is the unique m-th root with constant term 1, and confirm it
+    returns the series with integer coefficients.  This is the closing step
+    of the main uniqueness argument, run as arithmetic."""
+    if not isinstance(m, int) or m < 1:
+        raise ValueError("root index m must be a positive integer")
     expected = dt_series(spec, order)
     power = expected.series ** m
-    root = power.root_m(m)
+    root = power ** Fraction(1, m)
     integral = root.is_integral()
     return RootArgumentReport(
         power=power,

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Callable, Iterable, Mapping, Union
 
-from ._values import Rational, _exact
+from ._values import Rational, _exact, _non_negative_int
 
 __all__ = [
     "EpsilonSchedule",
@@ -46,13 +46,6 @@ class InadmissibleScheduleError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _ground_set_size(n) -> int:
-    """`n` itself, once it is known to be a non-negative integer."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
-    return n
-
-
 def _canonical(keys: Iterable) -> tuple[int, ...]:
     """The restricted-growth string of `keys`: each key numbered by its first
     occurrence, so that equal key sequences up to renaming give one string."""
@@ -73,7 +66,7 @@ class SetPartition:
     __slots__ = ("n", "blocks", "_labels")
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
-        owner: list = [None] * _ground_set_size(n)
+        owner: list = [None] * _non_negative_int(n, "n")
         for tag, block in enumerate(blocks):
             block = frozenset(block)
             if not block:
@@ -119,12 +112,12 @@ class SetPartition:
     @classmethod
     def singletons(cls, n: int) -> "SetPartition":
         """The bottom element: every element alone."""
-        return cls._of(range(_ground_set_size(n)))
+        return cls._of(range(_non_negative_int(n, "n")))
 
     @classmethod
     def whole(cls, n: int) -> "SetPartition":
         """The top element: one block (none when n = 0)."""
-        return cls._of([0] * _ground_set_size(n))
+        return cls._of([0] * _non_negative_int(n, "n"))
 
     @property
     def rank(self) -> int:
@@ -189,8 +182,7 @@ class SetPartition:
 def partitions(n: int) -> tuple[SetPartition, ...]:
     """All partitions of {1..n}, in lexicographic order of their
     restricted-growth strings."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    _non_negative_int(n, "n")
     strings: list[tuple[int, ...]] = [()]
     for _ in range(n):  # each string grows by an old block or one new block
         strings = [s + (v,) for s in strings for v in range(max(s, default=-1) + 2)]

@@ -4,6 +4,7 @@ M(q) = prod_{n>=1} (1-q^n)^(-n) counts plane partitions by total weight.
 The brute-force counting oracle that checks it lives in `plane_partitions`.
 """
 
+from ._values import _non_negative_int
 from .series import TruncatedSeries
 
 __all__ = [
@@ -19,9 +20,7 @@ def macmahon_series(order: int) -> TruncatedSeries:
     Dividing by (1-q^n) is the strided prefix sum a[k] += a[k-n]; the
     product applies it n times for each n, in integers.
     """
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    a = [1] + [0] * order
+    a = [1] + [0] * _non_negative_int(order, "order")
     for n in range(1, order + 1):
         for _ in range(n):
             for k in range(n, order + 1):

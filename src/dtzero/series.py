@@ -151,33 +151,44 @@ class TruncatedSeries:
             return self.__mul__(other)
         return NotImplemented
 
-    def __pow__(self, exponent: int) -> "TruncatedSeries":
-        """Integer power by J.C.P. Miller's recurrence, O(N^2) for every exponent.
+    def __pow__(self, exponent: Rational) -> "TruncatedSeries":
+        """Rational power by J.C.P. Miller's recurrence, O(N^2) for every exponent.
 
-        For a unit a and b = a^K, the relation a*b' = K*a'*b gives b_0 = a_0^K
-        and m*a_0*b_m = sum_{k=1..m} ((K+1)*k - m)*a_k*b_{m-k} (Knuth, TAOCP
-        Vol. 2, 4.7).  A base with zero constant term is q^v*u with u a unit,
-        so for K >= 0 its power is q^(v*K)*u^K: the zero series once v*K
-        passes the order, and 0**0 is 1.  A negative power needs a unit.
-        One power of M(-q) at order 40 takes about 6 ms, for any |K| up to
-        4095 (2-vCPU x86 host, Python 3.11).
+        For a unit a and b = a^alpha, the relation a*b' = alpha*a'*b gives
+        m*a_0*b_m = sum_{k=1..m} ((alpha+1)*k - m)*a_k*b_{m-k} (Knuth, TAOCP
+        Vol. 2, 4.7).  An integer K, or a Fraction with denominator 1, starts
+        from b_0 = a_0^K.  A base with zero constant term is q^v*u with u a
+        unit, so for K >= 0 its power is q^(v*K)*u^K: the zero series once
+        v*K passes the order, and 0**0 is 1.  A negative power needs a unit.
+        A non-integer alpha = p/m needs constant term 1 and gives the unique
+        series with constant term 1 whose m-th power is a^p.  One power of
+        M(-q) at order 40 takes about 6 ms, for any |K| up to 4095 (2-vCPU
+        x86 host, Python 3.11).
         """
-        if not isinstance(exponent, int):
-            raise TypeError("series powers must be integers")
+        if isinstance(exponent, Fraction) and exponent.denominator == 1:
+            exponent = exponent.numerator
+        if not isinstance(exponent, (int, Fraction)):
+            raise TypeError("series powers must be integers or Fractions")
         a = self._coeffs
         n = len(a) - 1
         if exponent == 0:
             return TruncatedSeries.one(n)
-        v = next((k for k, c in enumerate(a) if c), n + 1)  # n + 1 for the zero series
-        if v and exponent < 0:
-            raise ValueError("not a unit: constant term is zero")
-        shift = v * exponent
-        if shift > n:
-            return TruncatedSeries.zero(n)
+        if isinstance(exponent, int):
+            v = next((k for k, c in enumerate(a) if c), n + 1)  # n + 1 for the zero series
+            if v and exponent < 0:
+                raise ValueError("not a unit: constant term is zero")
+            shift = v * exponent
+            if shift > n:
+                return TruncatedSeries.zero(n)
+            b = [a[v] ** exponent]
+        elif a[0] != 1:
+            raise ValueError("a non-integer power needs constant term 1")
+        else:
+            v = shift = 0
+            b = [Fraction(1)]  # Fraction(1) ** Fraction(1, 3) is the float 1.0
         u = a[v:v + n + 1 - shift]  # the unit part, to the order that survives the shift
         u0 = u[0]
         k1 = exponent + 1
-        b = [u0 ** exponent]
         for m in range(1, len(u)):
             acc = 0
             for k in range(1, m + 1):
@@ -218,30 +229,4 @@ class TruncatedSeries:
                 if a[k - j] != 0 and b[j] != 0:
                     acc -= j * b[j] * a[k - j]
             b[k] = acc / k
-        return TruncatedSeries(b)
-
-    def root_m(self, m: int) -> "TruncatedSeries":
-        """The unique m-th root with constant term 1 of a series with constant term 1.
-
-        Solves the triangular system for the root coefficient by
-        coefficient, via the relation m*a*b' = a'*b.  Coefficients of the
-        root are exact rationals; integrality can be queried afterwards
-        with is_integral().
-        """
-        if not isinstance(m, int) or m < 1:
-            raise ValueError("root index m must be a positive integer")
-        a = self._coeffs
-        if a[0] != 1:
-            raise ValueError("root_m requires constant term 1")
-        n = self.order
-        b = [Fraction(0)] * (n + 1)
-        b[0] = Fraction(1)
-        for k in range(1, n + 1):
-            acc = k * a[k]
-            for l in range(1, k):
-                if a[l] != 0 and b[k - l] != 0:
-                    acc += l * a[l] * b[k - l]
-                if b[l] != 0 and a[k - l] != 0:
-                    acc -= m * l * b[l] * a[k - l]
-            b[k] = acc / (m * k)
         return TruncatedSeries(b)

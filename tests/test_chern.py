@@ -139,6 +139,26 @@ class TestChernNumbers:
             assert spec.resolve().c12 % 24 == 0
 
 
+@pytest.mark.parametrize("make, value", [
+    (ThreefoldSpec.hypersurface, 5.7),
+    (ThreefoldSpec.hypersurface, 5.0),
+    (ThreefoldSpec.hypersurface, True),
+    (ThreefoldSpec.hypersurface, Fraction(5)),
+    (ThreefoldSpec.hypersurface, "5"),
+    (chern_of_hypersurface, 5.0),
+    (chern_of_hypersurface, True),
+    (ThreefoldSpec.product, (2.9, 1)),
+    (ThreefoldSpec.product, (2, 1.0)),
+    (ThreefoldSpec.product, (True, True, True)),
+    (chern_of_projective_space_product, (3.0,)),
+    (chern_of_projective_space_product, (1, True, 1)),
+])
+def test_spec_constructors_refuse_non_integers(make, value):
+    # int() would have truncated 5.7 to the quintic and (2.9, 1) to P2xP1
+    with pytest.raises(TypeError, match="expected an integer"):
+        make(value)
+
+
 class TestThreefoldSpec:
     def test_builtins(self):
         labels = {spec.label(): spec.resolve() for spec in catalog()}

@@ -66,6 +66,14 @@ class TestDtSeries:
         with pytest.raises(NonIntegralSpecError, match="not an honest threefold"):
             dt_series(half, 4)
 
+    @pytest.mark.parametrize("order", [2.0, True, -1])
+    def test_order_must_be_a_non_negative_integer(self, order):
+        with pytest.raises(ValueError, match="order must be a non-negative integer"):
+            dt_series(P3, order)
+        if order != -1:  # discrepancy_degrees refuses n_max < 1 itself
+            with pytest.raises(ValueError, match="order must be a non-negative integer"):
+                discrepancy_degrees(P3, order)
+
 
 def sigma2_power(k, order):
     """The coefficients of M(-q)^k in integers, by n*b_n = k * sum_j (-1)^j sigma2(j) * b_(n-j)
@@ -146,6 +154,12 @@ class TestRootArgument:
         report = verify_root_argument(P3, 1, order=6)
         assert report.ok
         assert report.root == report.expected.series
+
+    @pytest.mark.parametrize("m", [0, -3, 2.0, Fraction(1, 2), "2"])
+    def test_bad_index_raises(self, m):
+        # without the check, m = 0 would reach Fraction(1, 0)
+        with pytest.raises(ValueError, match="positive integer"):
+            verify_root_argument(P3, m, order=4)
 
     def test_quintic_through_cobordism(self):
         # build the series from the generator powers of the decomposition

@@ -83,8 +83,9 @@ class TestSetPartition:
 
     @pytest.mark.parametrize("n", [-1, 2.0, "2", True])
     def test_ground_set_size_must_be_a_non_negative_integer(self, n):
-        # the bottom and the top give the constructor's error, before building a block
-        for make in (lambda n: SetPartition(n, ()), SetPartition.singletons, SetPartition.whole):
+        # the bottom, the top and the whole lattice give the constructor's
+        # error, before building a block
+        for make in (lambda n: SetPartition(n, ()), SetPartition.singletons, SetPartition.whole, partitions):
             with pytest.raises(ValueError, match="non-negative integer"):
                 make(n)
 

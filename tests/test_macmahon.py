@@ -107,6 +107,14 @@ class TestSeries:
         with pytest.raises(ValueError, match="non-negative"):
             macmahon_series(-1)
 
+    @pytest.mark.parametrize("order", [2.0, "2", True, None])
+    def test_non_integer_order_rejected(self, order):
+        # the check of SetPartition's ground set size; True is not 1
+        with pytest.raises(ValueError, match="order must be a non-negative integer"):
+            macmahon_series(order)
+        with pytest.raises(ValueError, match="order must be a non-negative integer"):
+            macmahon_neg(order)
+
     def test_neg_signs(self):
         assert [int(c) for c in macmahon_neg(4).coefficients] == [1, -1, 3, -6, 13]
 
@@ -149,4 +157,5 @@ class TestRootIdentity:
         base = macmahon_neg(10)
         k = -20
         cube = base ** (3 * k)
-        assert cube.root_m(3) == base ** k
+        assert cube ** Fraction(1, 3) == base ** k
+        assert (base ** Fraction(k, 3)) ** 3 == base ** k

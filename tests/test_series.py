@@ -117,8 +117,10 @@ class TestIntPow:
             S(0, 1) ** -2
 
     def test_non_integer_exponent(self):
-        with pytest.raises(TypeError):
-            S(1, 1) ** Fraction(1, 2)
+        # a Fraction is a valid exponent; a float or a string is not
+        for exponent in (0.5, 2.0, "1/2"):
+            with pytest.raises(TypeError):
+                S(1, 1) ** exponent
 
 
 def power_by_products(a, k):
@@ -189,6 +191,20 @@ class TestPowAgainstProducts:
     def test_zero_order_series(self):
         assert S(Fraction(2, 3)) ** -3 == S(Fraction(27, 8))
         assert S(0) ** 2 == S(0) and S(0) ** 0 == S(1)
+        assert S(1) ** Fraction(-5, 7) == S(1)
+
+    @given(series(constant=1, max_order=8), st.integers(min_value=-6, max_value=6),
+           st.integers(min_value=1, max_value=5))
+    @settings(max_examples=80, deadline=None)
+    def test_rational_power_of_a_one_series(self, a, p, m):
+        # (a^(p/m))^m = a^p, both sides built from repeated products
+        a_to_p = power_by_products(a if p >= 0 else inverse_by_division(a), abs(p))
+        assert power_by_products(a ** Fraction(p, m), m) == a_to_p
+
+    @given(units(max_order=8), st.integers(min_value=-6, max_value=6))
+    @settings(max_examples=40, deadline=None)
+    def test_integral_fraction_is_its_int(self, a, k):
+        assert a ** Fraction(k) == a ** k == a ** Fraction(2 * k, 2)
 
 
 class TestLogExp:
@@ -222,19 +238,23 @@ class TestLogExp:
 class TestRoot:
     def test_square_root_of_square(self):
         sq = S(1, 1, order=4) ** 2
-        assert sq.root_m(2) == S(1, 1, order=4)
+        assert sq ** Fraction(1, 2) == S(1, 1, order=4)
 
     def test_index_one_is_identity(self):
         s = S(1, 4, -7, Fraction(2, 3))
-        assert s.root_m(1) == s
+        assert s ** Fraction(1, 1) == s
 
     def test_requires_constant_one(self):
-        with pytest.raises(ValueError):
-            S(2, 1).root_m(2)
+        for base in (S(2, 1), S(0, 1), TruncatedSeries.zero(3)):
+            with pytest.raises(ValueError, match="constant term 1"):
+                base ** Fraction(1, 2)
 
     def test_rejects_bad_index(self):
-        with pytest.raises(ValueError):
-            S(1, 1).root_m(0)
+        # p/1 is no root index but the int p: it needs no constant term 1,
+        # and a negative one still needs a unit
+        assert S(0, 2, 1, order=5) ** Fraction(4, 2) == S(0, 2, 1, order=5) ** 2
+        with pytest.raises(ValueError, match="not a unit"):
+            S(0, 1) ** Fraction(-2)
 
 
 class TestIntegrality:
@@ -280,7 +300,7 @@ class TestRingAxioms:
     @given(series(constant=1, max_order=8), st.integers(min_value=1, max_value=4))
     @settings(max_examples=40, deadline=None)
     def test_root_of_power(self, a, m):
-        assert (a ** m).root_m(m) == a
+        assert (a ** m) ** Fraction(1, m) == a
 
     @given(series(constant=1, max_order=12))
     @settings(max_examples=40, deadline=None)
