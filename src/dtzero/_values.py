@@ -17,10 +17,20 @@ def _exact(value) -> Fraction:
     return Fraction(value)
 
 
-def _non_negative_int(value, name: str) -> int:
-    """`value` itself, once it is known to be a non-negative int (bool refused)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+_INTEGERS = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
+
+
+def _clip(text: str) -> str:
+    """`text` cut to 60 characters, so that an error line that echoes a value
+    or a key stays short however long that is."""
+    return text if len(text) <= 60 else text[:60] + "..."
+
+
+def _int(value, name: str, least: int | None = None) -> int:
+    """`value` itself, once it is an int (not a bool) of at least `least`, which
+    is None, 0 or 1; anything else is a ValueError naming `name`, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int) or (least is not None and value < least):
+        raise ValueError(f"{name} must be {_INTEGERS[least]}, got {_clip(repr(value))}")
     return value
 
 

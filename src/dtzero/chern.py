@@ -16,7 +16,7 @@ from functools import lru_cache, reduce
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from ._values import Rational, _exact, _json_number, _refuse_sequence_ops
+from ._values import Rational, _clip, _exact, _int, _json_number, _refuse_sequence_ops
 
 __all__ = [
     "BUILTIN_THREEFOLDS",
@@ -212,25 +212,22 @@ def _chern_numbers(total: _Poly, caps: tuple[int, ...], volume: int) -> ChernNum
     return ChernNumbers(*(volume * p.get(caps, 0) for p in (_pow(c1, 3, caps), _mul(c1, c2, caps), c3)))
 
 
-def _int(value) -> int:
-    """`value` itself, once it is known to be an int; a float or a bool is
-    refused rather than truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {_clip(repr(value))}")
-    return value
+def _dimensions(dims: Iterable[int], name: str = "dims") -> tuple[int, ...]:
+    """The projective dimensions `dims` as a tuple, once they are positive ints
+    that sum to 3."""
+    dims = tuple(_int(d, f"{name}[{i}]", 1) for i, d in enumerate(dims))
+    if sum(dims) != 3:
+        raise ValueError(f"{name} must sum to 3, got {_clip(repr(list(dims)))}")
+    return dims
 
 
 def chern_of_projective_space_product(dims: Sequence[int]) -> ChernNumbers:
-    """Chern numbers of a product of projective spaces with the given dimensions.
+    """Chern numbers of P^d1 x ... x P^dk, for positive ints d1 + ... + dk = 3.
 
     Expands prod_j (1+h_j)^(d_j+1) in the truncated ring where h_j^(d_j+1) = 0
     and integrates degree-three monomials against the top class.
     """
-    dims = tuple(map(_int, dims))
-    if any(d < 1 for d in dims):
-        raise ValueError("projective factors must have positive dimension")
-    if sum(dims) != 3:
-        raise ValueError(f"dimensions {list(dims)} do not sum to 3")
+    dims = _dimensions(dims)
     one = (0,) * len(dims)
     total = {one: 1}
     for j, d in enumerate(dims):
@@ -240,15 +237,13 @@ def chern_of_projective_space_product(dims: Sequence[int]) -> ChernNumbers:
 
 
 def chern_of_hypersurface(degree: int) -> ChernNumbers:
-    """Chern numbers of a smooth degree-d hypersurface in P^4.
+    """Chern numbers of a smooth hypersurface in P^4 of positive int degree d.
 
     The total Chern class restricts to (1+h)^5 / (1+dh) mod h^4, where
     1/(1+dh) is the finite sum of (-dh)^k for k <= 3, and the hyperplane class
     integrates to the degree: int_X h^3 = d.
     """
-    d = _int(degree)
-    if d < 1:
-        raise ValueError("hypersurface degree must be positive")
+    d = _int(degree, "degree", 1)
     total = _mul(_pow({(0,): 1, (1,): 1}, 5, (3,)), {(k,): (-d) ** k for k in range(4)}, (3,))
     return _chern_numbers(total, (3,), d)
 
@@ -272,18 +267,6 @@ MAX_FACTOR_DIGITS = 30
 
 class SpecDocumentError(ValueError):
     """A threefold spec document does not validate against the schema."""
-
-
-def _clip(text: str) -> str:
-    """`text` cut to 60 characters, so that an error line that echoes a value
-    or a key stays short however long that is."""
-    return text if len(text) <= 60 else text[:60] + "..."
-
-
-def _expect_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SpecDocumentError(f"{where}: expected an integer, got {_clip(repr(value))}")
-    return value
 
 
 def _parse_factor(value, where: str) -> Fraction:
@@ -314,25 +297,19 @@ def _parse_builtin(value, where: str, depth: int = 0) -> str:
 def _parse_chern(value, where: str, depth: int) -> ChernNumbers:
     if not isinstance(value, dict) or set(value) != set(ChernNumbers._fields):
         raise SpecDocumentError(f"{where}: expected the keys c111, c12, c3")
-    return ChernNumbers(*(_expect_int(value[k], f"{where}.{k}") for k in ChernNumbers._fields))
+    return ChernNumbers(*(_int(value[k], f"{where}.{k}") for k in ChernNumbers._fields))
 
 
 def _parse_hypersurface(value, where: str, depth: int) -> int:
     if not isinstance(value, dict) or set(value) != {"degree"}:
         raise SpecDocumentError(f"{where}: expected the key degree")
-    degree = _expect_int(value["degree"], f"{where}.degree")
-    if degree < 1:
-        raise SpecDocumentError(f"{where}.degree: must be positive, got {_clip(repr(degree))}")
-    return degree
+    return _int(value["degree"], f"{where}.degree", 1)
 
 
 def _parse_product(value, where: str, depth: int) -> tuple[int, ...]:
-    if not isinstance(value, list) or not value:
-        raise SpecDocumentError(f"{where}: expected a non-empty list of dimensions")
-    dims = [_expect_int(v, f"{where}[{i}]") for i, v in enumerate(value)]
-    if any(d < 1 for d in dims) or sum(dims) != 3:
-        raise SpecDocumentError(f"{where}: dimensions must be positive and sum to 3, got {_clip(repr(dims))}")
-    return tuple(dims)
+    if not isinstance(value, list):
+        raise SpecDocumentError(f"{where}: expected a list of dimensions")
+    return _dimensions(value, where)
 
 
 def _parse_union(value, where: str, depth: int) -> tuple["ThreefoldSpec", ...]:
@@ -400,11 +377,19 @@ SPEC_KINDS: dict[str, _SpecKind] = {
 }
 
 
+def _instance_of(kind: type, value, who: str):
+    """`value` itself, once it is a `kind`; `who` names the refusing constructor."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{who} needs a {kind.__name__}, got {_clip(repr(value))}")
+    return value
+
+
 class ThreefoldSpec(NamedTuple):
     """A named threefold or constructor expression resolving to Chern numbers:
     a kind of SPEC_KINDS and its value, which is a builtin name, ChernNumbers,
-    a hypersurface degree, a tuple of product dimensions, a tuple of specs in
-    a disjoint union, or a scaled spec's (factor, base spec)."""
+    a positive int hypersurface degree, a tuple of positive int product
+    dimensions summing to 3, a tuple of specs in a disjoint union, or a
+    scaled spec's (factor, base spec).  The constructors refuse other values."""
 
     kind: str
     value: object
@@ -417,23 +402,23 @@ class ThreefoldSpec(NamedTuple):
 
     @classmethod
     def explicit(cls, chern: ChernNumbers) -> "ThreefoldSpec":
-        return cls("chern", chern)
+        return cls("chern", _instance_of(ChernNumbers, chern, "ThreefoldSpec.explicit"))
 
     @classmethod
     def product(cls, dims: Iterable[int]) -> "ThreefoldSpec":
-        return cls("product", tuple(map(_int, dims)))
+        return cls("product", _dimensions(dims))
 
     @classmethod
     def hypersurface(cls, degree: int) -> "ThreefoldSpec":
-        return cls("hypersurface", _int(degree))
+        return cls("hypersurface", _int(degree, "degree", 1))
 
     @classmethod
     def disjoint_union(cls, parts: Iterable["ThreefoldSpec"]) -> "ThreefoldSpec":
-        return cls("disjoint_union", tuple(parts))
+        return cls("disjoint_union", tuple(_instance_of(cls, p, "ThreefoldSpec.disjoint_union") for p in parts))
 
     @classmethod
     def scaled(cls, factor: Rational, base: "ThreefoldSpec") -> "ThreefoldSpec":
-        return cls("scaled", (_exact(factor), base))
+        return cls("scaled", (_exact(factor), _instance_of(cls, base, "ThreefoldSpec.scaled")))
 
     def resolve(self) -> ChernNumbers:
         """Evaluate the constructor expression to a Chern triple."""
@@ -476,7 +461,12 @@ def parse_spec_document(doc, where: str = "spec", depth: int = 0) -> ThreefoldSp
     kind = SPEC_KINDS.get(key)
     if kind is None:
         raise SpecDocumentError(f"{where}: unknown spec key {_clip(repr(key))}; expected one of {', '.join(SPEC_KINDS)}")
-    return ThreefoldSpec(key, kind.parse(value, f"{where}.{key}", depth))
+    try:
+        return ThreefoldSpec(key, kind.parse(value, f"{where}.{key}", depth))
+    except SpecDocumentError:
+        raise
+    except ValueError as exc:  # an integer slot refused by _int, which names its path
+        raise SpecDocumentError(str(exc)) from None
 
 
 def catalog() -> tuple[ThreefoldSpec, ...]:

@@ -15,7 +15,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .chern import ThreefoldSpec, twist_exponent
 from .dt import DEFAULT_ORDER, DTSeries, _macmahon_neg_cached, dt_series
 from .macmahon import macmahon_neg, sigma2
-from ._values import _refuse_sequence_ops
+from ._values import _int, _refuse_sequence_ops
 from .series import TruncatedSeries
 
 __all__ = [
@@ -77,9 +77,8 @@ def verify_root_argument(spec: ThreefoldSpec, m: int, order: int = DEFAULT_ORDER
     """Raise the series to the m-th power, take the 1/m-th power of that,
     which is the unique m-th root with constant term 1, and confirm it
     returns the series with integer coefficients.  This is the closing step
-    of the main uniqueness argument, run as arithmetic."""
-    if not isinstance(m, int) or m < 1:
-        raise ValueError("root index m must be a positive integer")
+    of the main uniqueness argument, run as arithmetic; m is a positive int."""
+    _int(m, "m", 1)
     expected = dt_series(spec, order)
     power = expected.series ** m
     root = power ** Fraction(1, m)
@@ -94,16 +93,14 @@ def verify_root_argument(spec: ThreefoldSpec, m: int, order: int = DEFAULT_ORDER
 
 
 def discrepancy_degrees(spec: ThreefoldSpec, n_max: int = 10) -> dict[int, int]:
-    """Per-size degrees t_1..t_{n_max} with n! * f_n = sum over partitions
-    of [n] of prod t_{block size}.
+    """Per-size degrees t_1..t_{n_max}, for a positive int n_max, with
+    n! * f_n = sum over partitions of [n] of prod t_{block size}.
 
     Extracted through the series logarithm, t_k = k! * [q^k] log(series),
     which is the O(N^2) route; the partition-sum form is checked against
     it in the test suites.  The values must come out integral.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    d = dt_series(spec, n_max)
+    d = dt_series(spec, _int(n_max, "n_max", 1))
     logs = d.series.log1()
     out: dict[int, int] = {}
     for k in range(1, n_max + 1):
@@ -117,9 +114,11 @@ def discrepancy_degrees(spec: ThreefoldSpec, n_max: int = 10) -> dict[int, int]:
 
 
 def partition_product_sum(t: Mapping[int, int], n: int):
-    """sum over all set partitions of [n] of prod over blocks of t[|block|]."""
-    from .lattice import partitions  # only this function needs the lattice
+    """sum over all set partitions of [n] of prod over blocks of t[|block|];
+    t holds a value for every block size 1..n."""
+    from .lattice import _require_sizes, partitions  # only this function needs the lattice
 
+    _require_sizes(t, _int(n, "n", 0))
     total = 0
     for alpha in partitions(n):
         term = 1
@@ -143,11 +142,9 @@ def log_macmahon_neg_coeffs(order: int) -> tuple[Fraction, ...]:
 
     Computed from the series logarithm and compared against the closed
     form (-1)^k sigma2(k)/k; a mismatch would mean a series bug, so it is
-    an internal error, not a value.
+    an internal error, not a value.  `order` is a positive int.
     """
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    from_series = macmahon_neg(order).log1()
+    from_series = macmahon_neg(_int(order, "order", 1)).log1()
     closed = tuple(Fraction((-1) ** k * sigma2(k), k) for k in range(1, order + 1))
     for k, expected in enumerate(closed, start=1):
         if from_series[k] != expected:
@@ -173,8 +170,8 @@ def verify_universality(specs: Sequence[ThreefoldSpec], n_max: int = 7) -> Unive
 
     lambda_k = k! * l_k comes from the logarithm of M(-q) alone, so the
     check pins every coefficient f_n to a universal polynomial in the one
-    Chern number K."""
-    ells = log_macmahon_neg_coeffs(n_max)
+    Chern number K.  n_max is a positive int."""
+    ells = log_macmahon_neg_coeffs(_int(n_max, "n_max", 1))
     lambdas: dict[int, int] = {}
     for k in range(1, n_max + 1):
         lam = factorial(k) * ells[k - 1]

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Callable, Iterable, Mapping, Union
 
-from ._values import Rational, _exact, _non_negative_int
+from ._values import Rational, _exact, _int
 
 __all__ = [
     "EpsilonSchedule",
@@ -54,7 +54,7 @@ def _canonical(keys: Iterable) -> tuple[int, ...]:
 
 
 class SetPartition:
-    """An indexed partition of the ground set {1..n}.
+    """An indexed partition of the ground set {1..n}, n a non-negative int.
 
     Stored as its restricted-growth string: labels()[i-1] is the block of
     element i, blocks numbered by their least element.  Equality and hashing
@@ -66,15 +66,13 @@ class SetPartition:
     __slots__ = ("n", "blocks", "_labels")
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
-        owner: list = [None] * _non_negative_int(n, "n")
+        owner: list = [None] * _int(n, "n", 0)
         for tag, block in enumerate(blocks):
             block = frozenset(block)
             if not block:
                 raise ValueError("blocks must be non-empty")
             for e in block:
-                if isinstance(e, bool) or not isinstance(e, int):
-                    raise TypeError(f"elements must be integers, got {type(e).__name__}")
-                if not 1 <= e <= n:
+                if not 1 <= _int(e, "element") <= n:
                     raise ValueError(f"blocks must cover exactly {{1..{n}}}")
                 if owner[e - 1] is not None:
                     raise ValueError("blocks must be pairwise disjoint")
@@ -112,12 +110,12 @@ class SetPartition:
     @classmethod
     def singletons(cls, n: int) -> "SetPartition":
         """The bottom element: every element alone."""
-        return cls._of(range(_non_negative_int(n, "n")))
+        return cls._of(range(_int(n, "n", 0)))
 
     @classmethod
     def whole(cls, n: int) -> "SetPartition":
         """The top element: one block (none when n = 0)."""
-        return cls._of([0] * _non_negative_int(n, "n"))
+        return cls._of([0] * _int(n, "n", 0))
 
     @property
     def rank(self) -> int:
@@ -180,9 +178,9 @@ class SetPartition:
 
 @lru_cache(maxsize=None)
 def partitions(n: int) -> tuple[SetPartition, ...]:
-    """All partitions of {1..n}, in lexicographic order of their
-    restricted-growth strings."""
-    _non_negative_int(n, "n")
+    """All partitions of {1..n}, for a non-negative int n, in lexicographic
+    order of their restricted-growth strings."""
+    _int(n, "n", 0)
     strings: list[tuple[int, ...]] = [()]
     for _ in range(n):  # each string grows by an old block or one new block
         strings = [s + (v,) for s in strings for v in range(max(s, default=-1) + 2)]
@@ -414,6 +412,7 @@ class EpsilonSchedule:
     ratio_sq: Fraction
 
     def __post_init__(self):
+        _int(self.n, "n", 0)
         object.__setattr__(self, "c_sq", _exact(self.c_sq))
         object.__setattr__(self, "ratio_sq", _exact(self.ratio_sq))
         if self.c_sq <= 0:
@@ -505,6 +504,13 @@ def delta_transform(alpha: SetPartition, values: Union[Mapping, Callable]) -> di
     return {ps[i]: value for i, value in delta.items()}
 
 
+def _require_sizes(t: Mapping[int, object], n: int) -> None:
+    """Refuse per-size values t that miss a block size 1..n, naming it."""
+    missing = next((k for k in range(1, n + 1) if k not in t), None)
+    if missing is not None:
+        raise ValueError(f"t is not defined on block size {missing}")
+
+
 def _ring_product(factors) -> object:
     it = iter(factors)
     out = next(it)
@@ -518,10 +524,10 @@ def multiplicative_delta_property(t: Mapping[int, object], n: int) -> bool:
 
     Given per-size values t, set F(beta) = prod_i t[|beta_i|] on every
     lattice below the top; the discrepancy of alpha must factor as the
-    product of the top discrepancies of its blocks, for every alpha.
+    product of the top discrepancies of its blocks, for every alpha.  n is a
+    positive int, and t holds a value for every block size 1..n.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _require_sizes(t, _int(n, "n", 1))
 
     def block_product(p: SetPartition):
         return _ring_product(t[len(b)] for b in p.blocks)

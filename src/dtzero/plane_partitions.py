@@ -8,7 +8,7 @@ check each other.  Only `verify` and the tests load it.
 from functools import lru_cache
 from typing import NamedTuple
 
-from ._values import _refuse_sequence_ops
+from ._values import _int, _refuse_sequence_ops
 
 __all__ = [
     "DEFAULT_ORACLE_BOUND",
@@ -27,18 +27,16 @@ class _PlanePartitionFields(NamedTuple):
 
 
 class PlanePartition(_PlanePartitionFields):
-    """A finite stack of rows of positive heights, weakly decreasing along
-    rows and down columns (a 3D Young diagram)."""
+    """A finite stack of rows of positive int heights, weakly decreasing
+    along rows and down columns (a 3D Young diagram)."""
 
     __slots__ = ()
 
     def __new__(cls, rows):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+        rows = tuple(tuple(_int(v, "height", 1) for v in row) for row in rows)
         for row in rows:
             if not row:
                 raise ValueError("rows must be non-empty")
-            if any(v < 1 for v in row):
-                raise ValueError("heights must be positive")
             if any(row[i] < row[i + 1] for i in range(len(row) - 1)):
                 raise ValueError("heights must weakly decrease along rows")
         for upper, lower in zip(rows, rows[1:]):
@@ -107,28 +105,28 @@ def _rows_underneath_cache(ceiling: tuple[int, ...], budget: int) -> tuple[tuple
     return tuple(_rows_under(ceiling, budget))
 
 
+def _oracle_size(n: int, bound: int) -> int:
+    """`n` itself, once it is a non-negative int within the enumeration bound."""
+    if _int(n, "n", 0) > bound:
+        raise ValueError(f"oracle limit exceeded: n={n} is beyond the enumeration bound {bound}")
+    return n
+
+
 def count_plane_partitions(n: int, bound: int = DEFAULT_ORACLE_BOUND) -> int:
-    """Number of plane partitions of n, by exhaustive recursive enumeration.
+    """Number of plane partitions of an int n >= 0, by exhaustive enumeration.
 
     Enumerates monotone height arrays inside the n x n bounding box,
     pruned by the remaining weight.  No generating-function identity is
     used anywhere on this path.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n > bound:
-        raise ValueError(f"oracle limit exceeded: n={n} is beyond the enumeration bound {bound}")
-    if n == 0:
+    if _oracle_size(n, bound) == 0:
         return 1
     return _stacked_count((n,) * n, n)
 
 
 def iter_plane_partitions(n: int, bound: int = DEFAULT_ORACLE_BOUND):
-    """Yield every plane partition of n, materialized row by row."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n > bound:
-        raise ValueError(f"oracle limit exceeded: n={n} is beyond the enumeration bound {bound}")
+    """Yield every plane partition of an int n >= 0, materialized row by row."""
+    _oracle_size(n, bound)
     acc: list[tuple[int, ...]] = []
 
     def rec(ceiling: tuple[int, ...], weight: int):

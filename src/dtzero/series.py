@@ -10,7 +10,7 @@ fresh series.
 from fractions import Fraction
 from typing import Iterable
 
-from ._values import Rational, _exact
+from ._values import Rational, _exact, _int
 
 __all__ = ["TruncatedSeries", "OrderMismatchError"]
 
@@ -36,12 +36,10 @@ class TruncatedSeries:
 
     @classmethod
     def from_coefficients(cls, coefficients: Iterable[Rational], order: int | None = None) -> "TruncatedSeries":
-        """Build a series, zero-padding up to ``order`` when given."""
+        """Build a series, zero-padding up to ``order`` (an int >= 0) when given."""
         coeffs = list(coefficients)
         if order is not None:
-            if order < 0:
-                raise ValueError("order must be non-negative")
-            if len(coeffs) > order + 1:
+            if len(coeffs) > _int(order, "order", 0) + 1:
                 raise ValueError("more coefficients than the requested order allows")
             coeffs.extend([0] * (order + 1 - len(coeffs)))
         return cls(coeffs)
@@ -60,8 +58,8 @@ class TruncatedSeries:
 
     @classmethod
     def monomial(cls, value: Rational, power: int, order: int) -> "TruncatedSeries":
-        """The series value*q^power at the given truncation order."""
-        if not 0 <= power <= order:
+        """The series value*q^power at truncation order, for ints 0 <= power <= order."""
+        if _int(power, "power", 0) > _int(order, "order", 0):
             raise ValueError("monomial power must lie within the truncation order")
         coeffs = [0] * (order + 1)
         coeffs[power] = value

@@ -155,7 +155,7 @@ class TestChernNumbers:
 ])
 def test_spec_constructors_refuse_non_integers(make, value):
     # int() would have truncated 5.7 to the quintic and (2.9, 1) to P2xP1
-    with pytest.raises(TypeError, match="expected an integer"):
+    with pytest.raises(ValueError, match="must be a positive integer"):
         make(value)
 
 
@@ -190,6 +190,26 @@ class TestThreefoldSpec:
         assert spec.is_integral()
         third = ThreefoldSpec.scaled(Fraction(1, 3), ThreefoldSpec.builtin("P3"))
         assert not third.is_integral()
+
+    @pytest.mark.parametrize("make, who", [
+        (lambda: ThreefoldSpec.explicit((1, 2, 3)), "ThreefoldSpec.explicit needs a ChernNumbers"),
+        (lambda: ThreefoldSpec.scaled(2, "P3"), "ThreefoldSpec.scaled needs a ThreefoldSpec"),
+        (lambda: ThreefoldSpec.scaled(2, ("builtin", "P3")), "ThreefoldSpec.scaled needs a ThreefoldSpec"),
+        (lambda: ThreefoldSpec.disjoint_union([ThreefoldSpec.builtin("P3"), 5]),
+         "ThreefoldSpec.disjoint_union needs a ThreefoldSpec, got 5"),
+    ])
+    def test_constructors_refuse_other_types(self, make, who):
+        # each would fail later, in resolve() or label(), with an AttributeError
+        with pytest.raises(TypeError, match=who):
+            make()
+
+    def test_constructors_refuse_what_their_documents_refuse(self):
+        with pytest.raises(ValueError, match="degree must be a positive integer, got 0"):
+            ThreefoldSpec.hypersurface(0)
+        with pytest.raises(ValueError, match=r"dims\[1\] must be a positive integer, got 0"):
+            ThreefoldSpec.product([3, 0])
+        with pytest.raises(ValueError, match=r"dims must sum to 3, got \[2, 2\]"):
+            ThreefoldSpec.product([2, 2])
 
     def test_document_round_trip(self):
         from dtzero.cli import parse_spec_document

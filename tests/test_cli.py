@@ -93,6 +93,19 @@ class TestErrorPaths:
         assert "unknown name" in err
         assert out == ""
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"hypersurface": {"degree": 5.0}}, "spec.hypersurface.degree must be a positive integer, got 5.0"),
+        ({"product": [2, True]}, "spec.product[1] must be a positive integer, got True"),
+        ({"scaled": {"factor": 2, "of": {"chern": {"c111": "1", "c12": 0, "c3": 0}}}},
+         "spec.scaled.of.chern.c111 must be an integer, got '1'"),
+    ])
+    def test_integer_slot_names_its_path(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "series", "--spec-file", str(path))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[1:] == [f"error: {message}"]
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -623,7 +636,7 @@ class TestSpecDocumentParsing:
             parse_spec_document({"threefold": "P3"})
 
     def test_chern_requires_integers(self):
-        with pytest.raises(SpecDocumentError, match="expected an integer"):
+        with pytest.raises(SpecDocumentError, match=r"spec\.chern\.c111 must be an integer, got 1\.5"):
             parse_spec_document({"chern": {"c111": 1.5, "c12": 0, "c3": 0}})
 
     def test_nested_error_paths_are_reported(self):

@@ -70,9 +70,9 @@ class TestDtSeries:
     def test_order_must_be_a_non_negative_integer(self, order):
         with pytest.raises(ValueError, match="order must be a non-negative integer"):
             dt_series(P3, order)
-        if order != -1:  # discrepancy_degrees refuses n_max < 1 itself
-            with pytest.raises(ValueError, match="order must be a non-negative integer"):
-                discrepancy_degrees(P3, order)
+        # discrepancy_degrees names its own argument, n_max
+        with pytest.raises(ValueError, match="n_max must be a positive integer"):
+            discrepancy_degrees(P3, order)
 
 
 def sigma2_power(k, order):
@@ -201,6 +201,14 @@ class TestDiscrepancyDegrees:
         t = {1: 5, 2: -3, 3: 7}
         # partitions of [3]: bottom, three pairings, top
         assert partition_product_sum(t, 3) == 5 ** 3 + 3 * (-3 * 5) + 7
+
+    def test_missing_block_size_is_named(self):
+        # the lookup would otherwise end in a bare KeyError: 2
+        with pytest.raises(ValueError, match="t is not defined on block size 2"):
+            partition_product_sum({1: 1}, 2)
+        with pytest.raises(ValueError, match="t is not defined on block size 3"):
+            reconstructed_coefficient({1: 1, 2: 1, 4: 1}, 4)
+        assert partition_product_sum({}, 0) == 1
 
     def test_degrees_via_delta_transform(self):
         # independent extraction: with F(beta) = prod over blocks of

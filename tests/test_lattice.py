@@ -78,7 +78,7 @@ class TestSetPartition:
 
     @pytest.mark.parametrize("element", [1.5, 2.0, "1", True])
     def test_non_integer_elements_raise(self, element):
-        with pytest.raises(TypeError, match="integers"):
+        with pytest.raises(ValueError, match="element must be an integer"):
             SetPartition(2, ({element, 2},))
 
     @pytest.mark.parametrize("n", [-1, 2.0, "2", True])
@@ -508,3 +508,10 @@ class TestDeltaMultiplicativity:
     def test_rational_values(self):
         t = {1: Fraction(1, 2), 2: Fraction(-3, 7), 3: Fraction(5, 3), 4: Fraction(0)}
         assert multiplicative_delta_property(t, 4)
+
+    def test_missing_block_size_is_named(self):
+        # the lookup would otherwise end in a bare KeyError: 2
+        with pytest.raises(ValueError, match="t is not defined on block size 2"):
+            multiplicative_delta_property({1: 1}, 3)
+        with pytest.raises(ValueError, match="t is not defined on block size 4"):
+            multiplicative_delta_property({1: 1, 2: 1, 3: 1}, 4)

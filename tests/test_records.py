@@ -93,7 +93,7 @@ def test_validation_errors_are_unchanged():
         DTSeries(TruncatedSeries([1, Fraction(1, 2)]), 0, P3)
     for rows, message in [
         (((),), "rows must be non-empty"),
-        (((0,),), "heights must be positive"),
+        (((0,),), "height must be a positive integer"),
         (((1, 2),), "weakly decrease along rows"),
         (((1,), (1, 1)), "row lengths must weakly decrease"),
         (((1,), (2,)), "weakly decrease down columns"),
