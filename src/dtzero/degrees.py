@@ -2,10 +2,12 @@
 and the checks around the formula.
 
 Multiplicativity over disjoint unions, recovery of the series from its
-m-th power, the per-size degrees extracted through the series logarithm,
-and their universality across threefolds.  `dtzero series` never runs
-these, so they live apart from `dt`: `discrepancy`, `verify` and library
-callers load this module.
+m-th power, the per-size degrees and their universality across threefolds.
+Since log DT_X = K log M(-q), the degrees have the closed form
+t_k = K * lambda_k with lambda_k = (-1)^k (k-1)! sigma2(k); the series
+logarithm is kept as the evidence that checks it.  `dtzero series` never
+runs these, so they live apart from `dt`: `discrepancy`, `verify` and
+library callers load this module.
 """
 
 from fractions import Fraction
@@ -13,8 +15,8 @@ from math import factorial
 from typing import Mapping, NamedTuple, Sequence
 
 from .chern import ThreefoldSpec, twist_exponent
-from .dt import DEFAULT_ORDER, DTSeries, _macmahon_neg_cached, dt_series
-from .macmahon import macmahon_neg, sigma2
+from .dt import DEFAULT_ORDER, DTSeries, _honest_exponent, _macmahon_neg_cached, dt_series
+from .macmahon import sigma2
 from ._values import _int, _refuse_sequence_ops
 from .series import TruncatedSeries
 
@@ -92,25 +94,23 @@ def verify_root_argument(spec: ThreefoldSpec, m: int, order: int = DEFAULT_ORDER
     )
 
 
+def _lambdas(n_max: int) -> dict[int, int]:
+    """lambda_k = k! [q^k] log M(-q) = (-1)^k (k-1)! sigma2(k) for k = 1..n_max:
+    the per-size degrees of a threefold with twist exponent 1."""
+    return {k: (-1) ** k * factorial(k - 1) * sigma2(k) for k in range(1, n_max + 1)}
+
+
 def discrepancy_degrees(spec: ThreefoldSpec, n_max: int = 10) -> dict[int, int]:
     """Per-size degrees t_1..t_{n_max}, for a positive int n_max, with
     n! * f_n = sum over partitions of [n] of prod t_{block size}.
 
-    Extracted through the series logarithm, t_k = k! * [q^k] log(series),
-    which is the O(N^2) route; the partition-sum form is checked against
-    it in the test suites.  The values must come out integral.
+    In closed form, t_k = K * lambda_k, from log DT_X = K log M(-q); no
+    series is built.  `verify_universality` checks it against the series
+    logarithm, and the partition-sum form is checked in the test suites.
     """
-    d = dt_series(spec, _int(n_max, "n_max", 1))
-    logs = d.series.log1()
-    out: dict[int, int] = {}
-    for k in range(1, n_max + 1):
-        value = factorial(k) * logs[k]
-        if value.denominator != 1:
-            raise ArithmeticError(
-                f"discrepancy degree t_{k} of {spec.label()} is not an integer: {value}"
-            )
-        out[k] = int(value)
-    return out
+    lambdas = _lambdas(_int(n_max, "n_max", 1))
+    exponent = _honest_exponent(spec)
+    return {k: exponent * lam for k, lam in lambdas.items()}
 
 
 def partition_product_sum(t: Mapping[int, int], n: int):
@@ -138,20 +138,10 @@ def reconstructed_coefficient(t: Mapping[int, int], n: int) -> Fraction:
 
 
 def log_macmahon_neg_coeffs(order: int) -> tuple[Fraction, ...]:
-    """Coefficients l_1..l_order of log M(-q).
-
-    Computed from the series logarithm and compared against the closed
-    form (-1)^k sigma2(k)/k; a mismatch would mean a series bug, so it is
-    an internal error, not a value.  `order` is a positive int.
-    """
-    from_series = macmahon_neg(_int(order, "order", 1)).log1()
-    closed = tuple(Fraction((-1) ** k * sigma2(k), k) for k in range(1, order + 1))
-    for k, expected in enumerate(closed, start=1):
-        if from_series[k] != expected:
-            raise ArithmeticError(
-                f"log M(-q) coefficient mismatch at q^{k}: series {from_series[k]}, closed form {expected}"
-            )
-    return closed
+    """Coefficients l_1..l_order of log M(-q), in closed form:
+    l_k = lambda_k / k! = (-1)^k sigma2(k) / k.  `order` is a positive int;
+    `verify --suite macmahon` checks them against the series logarithm."""
+    return tuple(Fraction(lam, factorial(k)) for k, lam in _lambdas(_int(order, "order", 1)).items())
 
 
 class UniversalityReport(NamedTuple):
@@ -165,33 +155,24 @@ class UniversalityReport(NamedTuple):
 
 
 def verify_universality(specs: Sequence[ThreefoldSpec], n_max: int = 7) -> UniversalityReport:
-    """Check t_k = lambda_k * K across the given specs, with lambda_k
-    independent of the threefold.
-
-    lambda_k = k! * l_k comes from the logarithm of M(-q) alone, so the
-    check pins every coefficient f_n to a universal polynomial in the one
-    Chern number K.  n_max is a positive int."""
-    ells = log_macmahon_neg_coeffs(_int(n_max, "n_max", 1))
-    lambdas: dict[int, int] = {}
-    for k in range(1, n_max + 1):
-        lam = factorial(k) * ells[k - 1]
-        if lam.denominator != 1:
-            raise ArithmeticError(f"lambda_{k} is not an integer: {lam}")
-        lambdas[k] = int(lam)
+    """Check the closed form t_k = lambda_k * K against k! [q^k] log(series)
+    for every given spec; a non-integral value fails too.  lambda_k depends
+    on k alone, so the check pins every coefficient f_n to a universal
+    polynomial in the one Chern number K.  n_max is a positive int."""
+    lambdas = _lambdas(_int(n_max, "n_max", 1))
     exponents: dict[str, int] = {}
     degrees: dict[str, dict[int, int]] = {}
     failures: list[str] = []
     for spec in specs:
         label = spec.label()
-        k_x = twist_exponent(spec.resolve())
-        t = discrepancy_degrees(spec, n_max)
-        exponents[label] = k_x
-        degrees[label] = t
-        for k in range(1, n_max + 1):
-            if t[k] != lambdas[k] * k_x:
-                failures.append(
-                    f"{label}: t_{k} = {t[k]} but lambda_{k}*K = {lambdas[k] * k_x}"
-                )
+        d = dt_series(spec, n_max)
+        logs = d.series.log1()
+        t = {k: factorial(k) * logs[k] for k in lambdas}
+        exponents[label] = d.exponent
+        degrees[label] = {k: int(v) if v.denominator == 1 else v for k, v in t.items()}
+        for k, lam in lambdas.items():
+            if t[k] != lam * d.exponent:
+                failures.append(f"{label}: t_{k} = {t[k]} but lambda_{k}*K = {lam * d.exponent}")
     return UniversalityReport(
         lambdas=lambdas,
         exponents=exponents,

@@ -67,17 +67,23 @@ def _macmahon_neg_cached(order: int) -> TruncatedSeries:
     return macmahon.macmahon_neg(order)
 
 
-def dt_series(spec: ThreefoldSpec, order: int = DEFAULT_ORDER) -> DTSeries:
-    """M(-q) raised to the twist exponent of the spec's Chern numbers.
-
-    Every coefficient is checked to be an integer; the constant term is 1.
-    """
+def _honest_exponent(spec: ThreefoldSpec) -> int:
+    """The twist exponent of a spec that resolves to integer Chern numbers;
+    rational ones are a formal cobordism combination, not an honest threefold."""
     c = spec.resolve()
     if not c.is_integral():
         raise NonIntegralSpecError(
             f"{spec.label()} resolves to rational Chern numbers {c}; "
             "not an honest threefold; use dt_rational_power"
         )
-    exponent = twist_exponent(c)
+    return twist_exponent(c)
+
+
+def dt_series(spec: ThreefoldSpec, order: int = DEFAULT_ORDER) -> DTSeries:
+    """M(-q) raised to the twist exponent of the spec's Chern numbers.
+
+    Every coefficient is checked to be an integer; the constant term is 1.
+    """
+    exponent = _honest_exponent(spec)
     series = _macmahon_neg_cached(order) ** exponent
     return DTSeries(series=series, exponent=exponent, source=spec)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 import dtzero
-from dtzero import BUILTIN_THREEFOLDS, ThreefoldSpec, macmahon, plane_partitions, verify
+from dtzero import BUILTIN_THREEFOLDS, ThreefoldSpec, TruncatedSeries, degrees, macmahon, plane_partitions, verify
 from dtzero.cli import (
     MAX_CHERN_NUMBER,
     MAX_FACTOR_DIGITS,
@@ -550,6 +550,30 @@ class TestVerifyCommand:
         assert passing["lattice/fiber-multiplicity-sum"] == 1954
         assert passing["universality/disjoint-union-multiplicativity"] == 10
 
+    @pytest.mark.parametrize("mutant", ["sigma2", "log1"])
+    def test_fault_injection_in_the_degrees(self, capsys, monkeypatch, mutant):
+        # a wrong closed form, or a wrong series logarithm, is a FAIL line, not a traceback
+        if mutant == "sigma2":
+            real_sigma2 = degrees.sigma2
+            monkeypatch.setattr(degrees, "sigma2", lambda k: real_sigma2(k) + (k == 3))
+        else:
+            real_log1 = TruncatedSeries.log1
+
+            def wrong_at_three(self):
+                logs = real_log1(self)
+                return TruncatedSeries(c + (k == 3) for k, c in enumerate(logs.coefficients))
+
+            monkeypatch.setattr(TruncatedSeries, "log1", wrong_at_three)
+        for suite, name, counterexample in [
+            ("universality", "universality/proportional-degrees", "P3: t_3 = "),
+            ("macmahon", "macmahon/log-closed-form", "q^3: series log "),
+        ]:
+            code, out, err = run(capsys, "verify", "--suite", suite)
+            assert code == 1
+            assert "Traceback" not in err
+            failing = [line for line in out.splitlines() if line.startswith("FAIL")]
+            assert failing[0].startswith(f"FAIL\t{name}: {counterexample}")
+
 
 class TestProcessEntry:
     def test_main_leaves_the_collector_alone(self, capsys):
@@ -595,7 +619,8 @@ class TestProcessEntry:
         if keep:
             head = os.read(read_end, keep)
             os.close(read_end)
-            assert b"# exponent\t240000\n".startswith(head)
+            # the read returns up to `keep` bytes, which run past the first line
+            assert head == b"# exponent\t240000\n# cobordism\t"[:len(head)]
         _, err = proc.communicate(timeout=120)
         assert proc.returncode == 141
         assert err.decode() == f"dtzero {dtzero.__version__}\n"
@@ -612,12 +637,24 @@ class TestProcessEntry:
         code, out, _ = run(capsys, *argv)
         src = os.path.dirname(os.path.dirname(dtzero.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env.pop("PYTHONUNBUFFERED", None)  # a buffered stderr keeps the lines it failed to write
         with open(os.devnull, "rb") as read_only:
             fd2 = {"preexec_fn": lambda: os.close(2)} if stderr == "closed" else {"stderr": read_only}
             done = subprocess.run([sys.executable, "-m", "dtzero", *argv], env=env,
                                   stdout=subprocess.PIPE, text=True, **fd2)
         assert code == expected
         assert (done.returncode, done.stdout) == (code, out)
+
+    def test_read_only_stderr_keeps_the_usage_exit_code(self):
+        # argparse reports a usage error before the banner; its lines stay in
+        # the buffer of a read-only stderr until the flush at exit
+        src = os.path.dirname(os.path.dirname(dtzero.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env.pop("PYTHONUNBUFFERED", None)
+        with open(os.devnull, "rb") as read_only:
+            done = subprocess.run([sys.executable, "-m", "dtzero", "series", "--builtin", "P3", "--order", "401"],
+                                  env=env, stdout=subprocess.PIPE, stderr=read_only)
+        assert (done.returncode, done.stdout) == (2, b"")
 
 
 class TestSpecDocumentParsing:

@@ -10,6 +10,7 @@ from dtzero import (
     NonIntegralSpecError,
     SetPartition,
     ThreefoldSpec,
+    TruncatedSeries,
     catalog,
     decompose,
     delta_transform,
@@ -62,9 +63,11 @@ class TestDtSeries:
         assert d.series == macmahon_neg(3) ** -200
 
     def test_non_integral_spec_rejected(self):
-        half = ThreefoldSpec.scaled(Fraction(1, 3), P3)
+        third = ThreefoldSpec.scaled(Fraction(1, 3), P3)
         with pytest.raises(NonIntegralSpecError, match="not an honest threefold"):
-            dt_series(half, 4)
+            dt_series(third, 4)
+        with pytest.raises(NonIntegralSpecError, match="not an honest threefold"):
+            discrepancy_degrees(third, 3)
 
     @pytest.mark.parametrize("order", [2.0, True, -1])
     def test_order_must_be_a_non_negative_integer(self, order):
@@ -233,6 +236,39 @@ class TestDiscrepancyDegrees:
     def test_zero_exponent_gives_zero_degrees(self):
         spec = ThreefoldSpec.explicit(ChernNumbers(0, 0, 0))
         assert set(discrepancy_degrees(spec, 5).values()) == {0}
+
+
+def series_log_degrees(spec, n_max):
+    """t_k = k! [q^k] log DT_X(q) through the series ring: the oracle for the
+    closed form in discrepancy_degrees."""
+    logs = dt_series(spec, n_max).series.log1()
+    return {k: factorial(k) * logs[k] for k in range(1, n_max + 1)}
+
+
+class TestClosedFormAgainstSeriesLog:
+    @pytest.mark.parametrize("spec", list(catalog()) + [ThreefoldSpec.hypersurface(d) for d in range(1, 10)],
+                             ids=lambda spec: spec.label())
+    def test_catalog_and_hypersurfaces_at_60(self, spec):
+        assert discrepancy_degrees(spec, 60) == series_log_degrees(spec, 60)
+
+    @pytest.mark.parametrize("k", [10**12, -10**12])
+    def test_twist_exponent_cap_at_100(self, k):
+        spec = ThreefoldSpec.explicit(ChernNumbers(0, -k // 2, k // 2))
+        assert discrepancy_degrees(spec, 100) == series_log_degrees(spec, 100)
+
+    @given(st.integers(min_value=-10**6, max_value=10**6), st.integers(min_value=1, max_value=20))
+    @settings(max_examples=25, deadline=None)
+    def test_drawn_exponents(self, k, n_max):
+        spec = ThreefoldSpec.explicit(ChernNumbers(0, 0, k))
+        assert discrepancy_degrees(spec, n_max) == series_log_degrees(spec, n_max)
+
+    def test_no_series_is_built(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the closed form needs no series")
+
+        monkeypatch.setattr(TruncatedSeries, "__pow__", unreachable)
+        monkeypatch.setattr(TruncatedSeries, "log1", unreachable)
+        assert discrepancy_degrees(ThreefoldSpec.builtin("P2xP1"), 4) == {1: 18, 2: -90, 3: 360, 4: -2268}
 
 
 class TestUniversality:

@@ -133,8 +133,7 @@ class TestLogCoefficients:
         assert ells[2] == Fraction(-10, 3)
 
     def test_closed_form_matches_series_log(self):
-        # log_macmahon_neg_coeffs raises internally on any mismatch; make the
-        # comparison explicit here as well.
+        # the closed form against its oracle, the series logarithm
         ells = log_macmahon_neg_coeffs(12)
         from_series = macmahon_neg(12).log1()
         assert all(from_series[k] == ells[k - 1] for k in range(1, 13))

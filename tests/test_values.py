@@ -31,6 +31,7 @@ from dtzero import (
     verify_root_argument,
     verify_universality,
 )
+from dtzero.verify import max_n_limit, run_suite
 
 P3 = ThreefoldSpec.builtin("P3")
 
@@ -67,6 +68,8 @@ ROWS = [
     ("document.hypersurface", lambda v: parse_spec_document({"hypersurface": {"degree": v}}),
      "spec.hypersurface.degree", 1),
     ("document.product", lambda v: parse_spec_document({"product": [v]}), "spec.product[0]", 1),
+    *[(f"run_suite.{suite}", lambda v, suite=suite: run_suite(suite, v), "max_n", 0)
+      for suite in ("macmahon", "lattice", "cobordism", "universality", "all")],
 ]
 IDS = [row[0] for row in ROWS]
 
@@ -97,6 +100,15 @@ def test_values_below_the_least_are_refused(row_id, call, name, least):
 @given(value=st.one_of(st.floats(), st.booleans(), st.text(), st.fractions()))
 def test_drawn_non_integers_are_refused(row_id, call, name, least, value):
     refuses(call, name, value)
+
+
+@pytest.mark.parametrize("suite", ["macmahon", "lattice", "cobordism", "universality", "all"])
+def test_run_suite_caps_max_n(suite):
+    # refused before any check runs: universality at 10**6 would run for minutes
+    with pytest.raises(ValueError, match=f"^max_n must be at most {max_n_limit(suite)} for suite {suite}, "):
+        run_suite(suite, max_n_limit(suite) + 1)
+    with pytest.raises(ValueError, match="^max_n must be at most 200 for suite universality, got 1000000$"):
+        run_suite("universality", 10**6)
 
 
 def test_long_values_are_clipped():
