@@ -16,7 +16,7 @@ from functools import lru_cache, reduce
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from ._values import Rational, _clip, _exact, _int, _json_number, _refuse_sequence_ops
+from ._values import Rational, _clip, _exact, _int, _json_number, _make, _refuse_sequence_ops, _show
 
 __all__ = [
     "BUILTIN_THREEFOLDS",
@@ -129,10 +129,7 @@ class ChernNumbers(_ChernFields):
     def __new__(cls, c111: Rational, c12: Rational, c3: Rational):
         return super().__new__(cls, _tidy(_exact(c111)), _tidy(_exact(c12)), _tidy(_exact(c3)))
 
-    @classmethod
-    def _make(cls, iterable) -> "ChernNumbers":
-        # the NamedTuple default skips __new__, and _replace builds through it
-        return cls(*iterable)
+    _make = _make
 
     def is_integral(self) -> bool:
         return all(isinstance(v, int) for v in (self.c111, self.c12, self.c3))
@@ -191,11 +188,7 @@ def twist_exponent(c: ChernNumbers) -> Rational:
     Always computed through the symbolic expansion, never from a
     hard-coded formula.
     """
-    monomial_values = {
-        (3, 0, 0): _exact(c.c111),
-        (1, 1, 0): _exact(c.c12),
-        (0, 0, 1): _exact(c.c3),
-    }
+    monomial_values = dict(zip([(3, 0, 0), (1, 1, 0), (0, 0, 1)], c))  # c1^3, c1c2, c3 by exponents of (c1, c2, c3)
     total = Fraction(0)
     for mono, coeff in twist_class_monomials():
         if mono not in monomial_values:
@@ -217,7 +210,7 @@ def _dimensions(dims: Iterable[int], name: str = "dims") -> tuple[int, ...]:
     that sum to 3."""
     dims = tuple(_int(d, f"{name}[{i}]", 1) for i, d in enumerate(dims))
     if sum(dims) != 3:
-        raise ValueError(f"{name} must sum to 3, got {_clip(repr(list(dims)))}")
+        raise ValueError(f"{name} must sum to 3, got {_show(list(dims))}")
     return dims
 
 
@@ -227,7 +220,12 @@ def chern_of_projective_space_product(dims: Sequence[int]) -> ChernNumbers:
     Expands prod_j (1+h_j)^(d_j+1) in the truncated ring where h_j^(d_j+1) = 0
     and integrates degree-three monomials against the top class.
     """
-    dims = _dimensions(dims)
+    return _product_chern(_dimensions(dims))
+
+
+# The family caches sit behind the checks: a cache key does not tell True from 1.
+@lru_cache(maxsize=None)
+def _product_chern(dims: tuple[int, ...]) -> ChernNumbers:
     one = (0,) * len(dims)
     total = {one: 1}
     for j, d in enumerate(dims):
@@ -243,7 +241,11 @@ def chern_of_hypersurface(degree: int) -> ChernNumbers:
     1/(1+dh) is the finite sum of (-dh)^k for k <= 3, and the hyperplane class
     integrates to the degree: int_X h^3 = d.
     """
-    d = _int(degree, "degree", 1)
+    return _hypersurface_chern(_int(degree, "degree", 1))
+
+
+@lru_cache(maxsize=None)
+def _hypersurface_chern(d: int) -> ChernNumbers:
     total = _mul(_pow({(0,): 1, (1,): 1}, 5, (3,)), {(k,): (-d) ** k for k in range(4)}, (3,))
     return _chern_numbers(total, (3,), d)
 
@@ -277,20 +279,20 @@ def _parse_factor(value, where: str) -> Fraction:
     if isinstance(value, str):
         match = re.fullmatch(r"[+-]?([0-9]+)(?:/([0-9]+))?", value)
         if match is None:
-            raise SpecDocumentError(f"{where}: cannot parse rational {_clip(repr(value))}; expected 'p' or 'p/q'")
+            raise SpecDocumentError(f"{where}: cannot parse rational {_show(value)}; expected 'p' or 'p/q'")
         if any(part is not None and len(part) > MAX_FACTOR_DIGITS for part in match.groups()):
             raise SpecDocumentError(f"{where}: p and q have at most {MAX_FACTOR_DIGITS} digits each")
         try:
             return Fraction(value)
         except ZeroDivisionError:
-            raise SpecDocumentError(f"{where}: cannot parse rational {_clip(repr(value))}") from None
-    raise SpecDocumentError(f"{where}: expected an integer or 'p/q' string, got {_clip(repr(value))}")
+            raise SpecDocumentError(f"{where}: cannot parse rational {_show(value)}") from None
+    raise SpecDocumentError(f"{where}: expected an integer or 'p/q' string, got {_show(value)}")
 
 
 def _parse_builtin(value, where: str, depth: int = 0) -> str:
     if not isinstance(value, str) or value not in BUILTIN_THREEFOLDS:
         known = ", ".join(sorted(BUILTIN_THREEFOLDS))
-        raise SpecDocumentError(f"{where}: unknown name {_clip(repr(value))}; known names: {known}")
+        raise SpecDocumentError(f"{where}: unknown name {_show(value)}; known names: {known}")
     return value
 
 
@@ -380,7 +382,7 @@ SPEC_KINDS: dict[str, _SpecKind] = {
 def _instance_of(kind: type, value, who: str):
     """`value` itself, once it is a `kind`; `who` names the refusing constructor."""
     if not isinstance(value, kind):
-        raise TypeError(f"{who} needs a {kind.__name__}, got {_clip(repr(value))}")
+        raise TypeError(f"{who} needs a {kind.__name__}, got {_show(value)}")
     return value
 
 
@@ -460,7 +462,7 @@ def parse_spec_document(doc, where: str = "spec", depth: int = 0) -> ThreefoldSp
     (key, value), = doc.items()
     kind = SPEC_KINDS.get(key)
     if kind is None:
-        raise SpecDocumentError(f"{where}: unknown spec key {_clip(repr(key))}; expected one of {', '.join(SPEC_KINDS)}")
+        raise SpecDocumentError(f"{where}: unknown spec key {_show(key)}; expected one of {', '.join(SPEC_KINDS)}")
     try:
         return ThreefoldSpec(key, kind.parse(value, f"{where}.{key}", depth))
     except SpecDocumentError:

@@ -25,7 +25,7 @@ from .chern import (  # re-exported
     parse_spec_document,
 )
 from .cobordism import decompose, verify_exponent_identity
-from .dt import DEFAULT_ORDER, NonIntegralSpecError, dt_series
+from .dt import DEFAULT_ORDER, NonIntegralSpecError, _honest_exponent, dt_series
 
 __all__ = ["main", "run", "parse_spec_document", "SpecDocumentError"]
 
@@ -58,13 +58,16 @@ MAX_CHERN_NUMBER = 10**12
 # ---------------------------------------------------------------------------
 
 
-def _spec_from_args(args, parser: argparse.ArgumentParser) -> ThreefoldSpec:
-    """The spec of the spec flags, parsed by parse_spec_document: the document
-    in the spec file, or the one that the shorthand flags build."""
-    chern = {"c111": args.c111, "c12": args.c12, "c3": args.c3}
+def _threefold(args, parser: argparse.ArgumentParser) -> tuple[ThreefoldSpec, ChernNumbers]:
+    """The preamble shared by series, cobordism and discrepancy.  It returns the
+    spec of the spec flags, parsed by parse_spec_document from the spec file or
+    from the document that the shorthand flags build, and its Chern numbers,
+    within the magnitude caps and warned about.  A rational spec is refused
+    later, by dt._honest_exponent, before anything is printed."""
+    triple = {"c111": args.c111, "c12": args.c12, "c3": args.c3}
     shorthands = {
         "builtin": args.builtin,
-        "chern": {field: value for field, value in chern.items() if value is not None} or None,
+        "chern": {field: value for field, value in triple.items() if value is not None} or None,
         "hypersurface": None if args.hypersurface_degree is None else {"degree": args.hypersurface_degree},
     }
     doc = {key: value for key, value in shorthands.items() if value is not None}
@@ -87,16 +90,7 @@ def _spec_from_args(args, parser: argparse.ArgumentParser) -> ThreefoldSpec:
             raise SpecDocumentError(f"spec: invalid JSON: {exc}") from None
         except RecursionError:
             raise SpecDocumentError("spec: JSON nests too deeply to read") from None
-    return parse_spec_document(doc)
-
-
-def _honest_threefold(args, parser: argparse.ArgumentParser, needs: str) -> tuple[ThreefoldSpec, ChernNumbers]:
-    """The preamble shared by series, cobordism and discrepancy: the spec and
-    its Chern numbers, within the magnitude caps, warned about and integral.
-
-    `needs` ends the domain error raised for rational Chern numbers.
-    """
-    spec = _spec_from_args(args, parser)
+    spec = parse_spec_document(doc)
     chern = spec.resolve()
     if any(abs(v) > MAX_CHERN_NUMBER for v in chern):
         parser.error(f"the spec's Chern numbers must be at most {MAX_CHERN_NUMBER} in absolute value")
@@ -104,8 +98,6 @@ def _honest_threefold(args, parser: argparse.ArgumentParser, needs: str) -> tupl
         parser.error(f"the spec's twist exponent |c3 - c1c2| must be at most {MAX_TWIST_EXPONENT}")
     for note in chern.validation_warnings():
         _note(f"warning: {note}")
-    if not chern.is_integral():
-        raise NonIntegralSpecError(f"{spec.label()} resolves to rational Chern numbers; {needs}")
     return spec, chern
 
 
@@ -132,16 +124,9 @@ def _print_json(doc) -> None:
 
 
 def _decomposition_document(dec) -> dict:
+    r1, r2, r3 = (_json_number(Fraction(r)) for r in dec.coefficients)
     m1, m2, m3 = dec.integer_multiples()
-    return {
-        "r1": _json_number(Fraction(dec.r1)),
-        "r2": _json_number(Fraction(dec.r2)),
-        "r3": _json_number(Fraction(dec.r3)),
-        "m": dec.m,
-        "m1": m1,
-        "m2": m2,
-        "m3": m3,
-    }
+    return {"r1": r1, "r2": r2, "r3": r3, "m": dec.m, "m1": m1, "m2": m2, "m3": m3}
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +139,7 @@ def _cmd_series(args, parser) -> int:
         parser.error("--order must be non-negative")
     if args.order > MAX_ORDER:
         parser.error(f"--order must be at most {MAX_ORDER}")
-    spec, chern = _honest_threefold(args, parser, "the series needs an honest threefold")
+    spec, chern = _threefold(args, parser)
     result = dt_series(spec, args.order)
     dec = decompose(chern)
     if args.format == "json":
@@ -175,7 +160,8 @@ def _cmd_series(args, parser) -> int:
 
 
 def _cmd_cobordism(args, parser) -> int:
-    spec, chern = _honest_threefold(args, parser, "decompose an honest threefold")
+    spec, chern = _threefold(args, parser)
+    _honest_exponent(spec)  # a rational spec is a domain error, raised before any output
     report = verify_exponent_identity(chern)
     if args.format == "json":
         doc = {
@@ -205,7 +191,7 @@ def _cmd_discrepancy(args, parser) -> int:
         parser.error("--max-n must be at least 1")
     if args.max_n > MAX_ORDER:
         parser.error(f"--max-n must be at most {MAX_ORDER}")
-    spec, chern = _honest_threefold(args, parser, "degrees need an honest threefold")
+    spec, chern = _threefold(args, parser)
     degrees = discrepancy_degrees(spec, args.max_n)
     if args.format == "json":
         doc = {

@@ -36,12 +36,7 @@ def generator_chern_numbers() -> tuple[ChernNumbers, ...]:
 
 def generator_matrix() -> tuple[tuple[int, int, int], ...]:
     """Rows are (c1^3, c1c2, c3); columns are the generators Y1, Y2, Y3."""
-    cols = generator_chern_numbers()
-    return (
-        tuple(c.c111 for c in cols),
-        tuple(c.c12 for c in cols),
-        tuple(c.c3 for c in cols),
-    )
+    return tuple(zip(*generator_chern_numbers()))
 
 
 def _det3(matrix) -> Rational:
@@ -82,11 +77,8 @@ class CobordismDecomposition(NamedTuple):
 
     def reconstruct(self) -> ChernNumbers:
         """Chern numbers of r1*Y1 + r2*Y2 + r3*Y3."""
-        gens = generator_chern_numbers()
-        fields = []
-        for attr in ("c111", "c12", "c3"):
-            fields.append(sum(Fraction(r) * getattr(g, attr) for r, g in zip(self.coefficients, gens)))
-        return ChernNumbers(*fields)
+        rows = generator_matrix()
+        return ChernNumbers(*(sum(Fraction(r) * v for r, v in zip(self.coefficients, row)) for row in rows))
 
 
 def decompose(c: ChernNumbers) -> CobordismDecomposition:
@@ -96,9 +88,8 @@ def decompose(c: ChernNumbers) -> CobordismDecomposition:
     det = _det3(matrix)
     if det == 0:
         raise ArithmeticError("generator matrix is singular")
-    rhs = (c.c111, c.c12, c.c3)
     solution = [
-        Fraction(_det3([row[:j] + (v,) + row[j + 1:] for row, v in zip(matrix, rhs)]), det) for j in range(3)
+        Fraction(_det3([row[:j] + (v,) + row[j + 1:] for row, v in zip(matrix, c)]), det) for j in range(3)
     ]
     m = lcm(*(r.denominator for r in solution))
     return CobordismDecomposition(*solution, m=m)

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 from .chern import ThreefoldSpec, twist_exponent
 from . import macmahon
-from ._values import _refuse_sequence_ops
+from ._values import _clip, _make, _refuse_sequence_ops
 from .series import TruncatedSeries
 
 __all__ = [
@@ -47,10 +47,7 @@ class DTSeries(_DTSeriesFields):
             raise ValueError("a DT series must have integer coefficients")
         return super().__new__(cls, series, exponent, source)
 
-    @classmethod
-    def _make(cls, iterable) -> "DTSeries":
-        # the NamedTuple default skips __new__, and _replace builds through it
-        return cls(*iterable)
+    _make = _make
 
     __add__ = __radd__ = __mul__ = __rmul__ = _refuse_sequence_ops
 
@@ -72,10 +69,8 @@ def _honest_exponent(spec: ThreefoldSpec) -> int:
     rational ones are a formal cobordism combination, not an honest threefold."""
     c = spec.resolve()
     if not c.is_integral():
-        raise NonIntegralSpecError(
-            f"{spec.label()} resolves to rational Chern numbers {c}; "
-            "not an honest threefold; use dt_rational_power"
-        )
+        raise NonIntegralSpecError(f"{_clip(spec.label())} resolves to rational Chern numbers; "
+                                   "not an honest threefold; use dt_rational_power")
     return twist_exponent(c)
 
 

@@ -11,13 +11,12 @@ coordinates; distances are kept in squared form so no square roots ever
 appear.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
-from ._values import Rational, _exact, _int
+from ._values import Rational, _exact, _int, _make, _refuse_sequence_ops
 
 __all__ = [
     "EpsilonSchedule",
@@ -237,20 +236,26 @@ def alpha_factorial(p: SetPartition) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PointConfig:
-    """A labeled tuple of points in rational 3-space; coordinates exact."""
-
+class _PointConfigFields(NamedTuple):
     points: tuple[tuple[Fraction, Fraction, Fraction], ...]
 
-    def __post_init__(self):
+
+class PointConfig(_PointConfigFields):
+    """A labeled tuple of points in rational 3-space; coordinates exact."""
+
+    __slots__ = ()
+
+    def __new__(cls, points: Iterable[Iterable[Rational]]):
         pts = []
-        for p in self.points:
+        for p in points:
             p = tuple(_exact(v) for v in p)
             if len(p) != 3:
                 raise ValueError("points must have exactly three coordinates")
             pts.append(p)
-        object.__setattr__(self, "points", tuple(pts))
+        return super().__new__(cls, tuple(pts))
+
+    _make = _make
+    __add__ = __radd__ = __mul__ = __rmul__ = _refuse_sequence_ops
 
     @property
     def n(self) -> int:
@@ -262,13 +267,8 @@ class PointConfig:
 
     def min_gap_sq(self) -> Fraction | None:
         """Smallest squared distance between distinct points; None if all coincide."""
-        best = None
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                d = _dist_sq(self.points[i], self.points[j])
-                if d != 0 and (best is None or d < best):
-                    best = d
-        return best
+        gaps = (_dist_sq(p, q) for p, q in combinations(self.points, 2))
+        return min((d for d in gaps if d != 0), default=None)
 
 
 def _dist_sq(p, q) -> Fraction:
@@ -396,8 +396,13 @@ def strict_diagonal_distance_sq(p: SetPartition, x: PointConfig) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EpsilonSchedule:
+class _EpsilonScheduleFields(NamedTuple):
+    n: int
+    c_sq: Fraction
+    ratio_sq: Fraction
+
+
+class EpsilonSchedule(_EpsilonScheduleFields):
     """Geometrically decreasing diagonal-neighborhood radii.
 
     Stores squared values only.  eps_sq(p) = c^2 * ratio^(2*(rank(p) - n)),
@@ -407,18 +412,19 @@ class EpsilonSchedule:
     default constructor ties c to 1/8 of the minimum gap.
     """
 
-    n: int
-    c_sq: Fraction
-    ratio_sq: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        _int(self.n, "n", 0)
-        object.__setattr__(self, "c_sq", _exact(self.c_sq))
-        object.__setattr__(self, "ratio_sq", _exact(self.ratio_sq))
-        if self.c_sq <= 0:
+    def __new__(cls, n: int, c_sq: Rational, ratio_sq: Rational):
+        _int(n, "n", 0)
+        c_sq, ratio_sq = _exact(c_sq), _exact(ratio_sq)
+        if c_sq <= 0:
             raise ValueError("the bound c must be positive")
-        if self.ratio_sq <= 1:
+        if ratio_sq <= 1:
             raise ValueError("the ratio R must exceed 1")
+        return super().__new__(cls, n, c_sq, ratio_sq)
+
+    _make = _make
+    __add__ = __radd__ = __mul__ = __rmul__ = _refuse_sequence_ops
 
     @classmethod
     def default_for(cls, x: PointConfig, ratio: Rational = 16) -> "EpsilonSchedule":

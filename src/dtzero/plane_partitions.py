@@ -8,7 +8,7 @@ check each other.  Only `verify` and the tests load it.
 from functools import lru_cache
 from typing import NamedTuple
 
-from ._values import _int, _refuse_sequence_ops
+from ._values import _int, _make, _refuse_sequence_ops
 
 __all__ = [
     "DEFAULT_ORACLE_BOUND",
@@ -46,10 +46,7 @@ class PlanePartition(_PlanePartitionFields):
                 raise ValueError("heights must weakly decrease down columns")
         return super().__new__(cls, rows)
 
-    @classmethod
-    def _make(cls, iterable) -> "PlanePartition":
-        # the NamedTuple default skips __new__, and _replace builds through it
-        return cls(*iterable)
+    _make = _make
 
     __add__ = __radd__ = __mul__ = __rmul__ = _refuse_sequence_ops
 

@@ -7,14 +7,13 @@ randomized checks use a fixed seed.
 """
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import factorial
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import macmahon, plane_partitions
-from ._values import _int
+from ._values import _int, _refuse_sequence_ops, _show
 from .chern import ChernNumbers, catalog
 from .cobordism import decompose, generator_chern_numbers, generator_determinant, verify_exponent_identity
 from .degrees import (
@@ -40,8 +39,7 @@ __all__ = ["Check", "MAX_N", "SUITES", "max_n_limit", "run_suite"]
 _SEED = 20080613
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One property's result.  `cases` counts the cases the property covers,
     on PASS and FAIL alike, and `detail` is a failing check's first
     counterexample; a check with no cases proves nothing and is reported as
@@ -51,6 +49,8 @@ class Check:
     ok: bool
     cases: int
     detail: str = ""
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _refuse_sequence_ops
 
 
 def _check(name: str, cases: int, counterexamples: Iterable[str]) -> Check:
@@ -198,13 +198,12 @@ def _exponent_identity_failures(trials: int, rng: random.Random):
 def suite_cobordism(max_n: int | None = None) -> list[Check]:
     trials = 1000 if max_n is None else max_n
     gens = generator_chern_numbers()
-    columns = tuple((g.c111, g.c12, g.c3) for g in gens)
     det = generator_determinant()
     dec = decompose(ChernNumbers(0, 0, -200))  # the quintic
     quintic_ok = dec.coefficients == (Fraction(-150), Fraction(400), Fraction(-250)) and dec.m == 1
     return [
         _check("cobordism/generator-columns", 1,
-               [f"got {gens}"] if columns != ((64, 24, 4), (54, 24, 6), (48, 24, 8)) else []),
+               [f"got {gens}"] if gens != ((64, 24, 4), (54, 24, 6), (48, 24, 8)) else []),
         _check("cobordism/determinant", 1, [f"det = {det}"] if det != 192 else []),
         _check("cobordism/quintic-decomposition", 1, [f"got {dec}"] if not quintic_ok else []),
         _check("cobordism/exponent-identity", trials, _exponent_identity_failures(trials, random.Random(_SEED))),
@@ -261,7 +260,7 @@ def run_suite(name: str, max_n: int | None = None) -> list[Check]:
     """Run one named suite, or every suite for "all".  `max_n` is None, for
     each suite's default size, or a non-negative int up to max_n_limit(name)."""
     if max_n is not None and _int(max_n, "max_n", 0) > max_n_limit(name):
-        raise ValueError(f"max_n must be at most {max_n_limit(name)} for suite {name}, got {max_n}")
+        raise ValueError(f"max_n must be at most {max_n_limit(name)} for suite {name}, got {_show(max_n)}")
     if name == "all":
         out = []
         for suite in SUITES.values():

@@ -203,6 +203,17 @@ class TestThreefoldSpec:
         with pytest.raises(TypeError, match=who):
             make()
 
+    def test_each_family_is_expanded_once_per_argument(self, monkeypatch):
+        # a spec document may hold hundreds of thousands of parts of one family
+        from dtzero import chern
+
+        expansions = []
+        expand = chern._chern_numbers
+        monkeypatch.setattr(chern, "_chern_numbers", lambda *args: expansions.append(args) or expand(*args))
+        parts = [ThreefoldSpec.builtin("P3"), ThreefoldSpec.hypersurface(5), ThreefoldSpec.product([1, 2])] * 500
+        assert ThreefoldSpec.disjoint_union(parts).resolve() == ChernNumbers(59000, 24000, -95000)
+        assert len(expansions) <= 3
+
     def test_constructors_refuse_what_their_documents_refuse(self):
         with pytest.raises(ValueError, match="degree must be a positive integer, got 0"):
             ThreefoldSpec.hypersurface(0)

@@ -153,6 +153,19 @@ class TestErrorPaths:
         assert code == 3
         assert "rational Chern numbers" in err
 
+    @pytest.mark.parametrize("parts", [1, 20_000], ids=["scaled", "union-of-20000"])
+    @pytest.mark.parametrize("command", ["series", "cobordism", "discrepancy"])
+    def test_rational_spec_gives_one_short_line(self, tmp_path, capsys, command, parts):
+        # the line echoes the spec's label, about 200 kB for the union, clipped to 60 characters
+        third = {"scaled": {"factor": "1/3", "of": {"builtin": "P3"}}}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(third if parts == 1 else {"disjoint_union": [third] * parts}))
+        code, out, err = run(capsys, command, "--spec-file", str(path))
+        assert (code, out) == (3, "")
+        banner, *rest = err.splitlines()
+        assert len(rest) == 1 and len(rest[0]) < 200
+        assert rest[0].startswith("error: (1/3)*P3") and "not an honest threefold" in rest[0]
+
     def test_conflicting_sources_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["series", "--builtin", "P3", "--hypersurface-degree", "2"])

@@ -63,6 +63,19 @@ def test_spec_file_loads_json_but_not_dataclasses(tmp_path):
     assert "dataclasses" not in loaded
 
 
+def test_lattice_import_loads_no_dataclasses():
+    # every record is a NamedTuple; dataclasses pulls in inspect, ast, dis and tokenize
+    done = run_fresh("import sys\nimport dtzero.lattice\nprint('dataclasses' in sys.modules)\n")
+    assert done.stdout.split() == ["False"]
+
+
+def test_verify_command_loads_no_dataclasses():
+    out, loaded = modules_loaded_by_main("verify", "--suite", "all", "--max-n", "1")
+    assert out.splitlines()[0] == "PASS\tmacmahon/oracle-equivalence"
+    assert "dtzero.verify" in loaded and "dtzero.lattice" in loaded
+    assert "dataclasses" not in loaded
+
+
 def test_chern_calculus_loads_neither_series_nor_macmahon():
     done = run_fresh(
         "import sys\n"

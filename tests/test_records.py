@@ -1,9 +1,10 @@
 """Value semantics of the NamedTuple records.
 
-ChernNumbers, ThreefoldSpec, DTSeries, CobordismDecomposition and
-PlanePartition are NamedTuples: their repr, immutability, equality, hash
-and validation are those of the frozen records they replace, and `+` and
-`*` never fall through to tuple concatenation or repetition.
+ChernNumbers, ThreefoldSpec, DTSeries, CobordismDecomposition,
+PlanePartition, PointConfig, EpsilonSchedule and verify.Check are
+NamedTuples: their repr, immutability, equality, hash and validation are
+those of the frozen records they replace, and `+` and `*` never fall
+through to tuple concatenation or repetition.
 """
 
 import pickle
@@ -14,8 +15,10 @@ import pytest
 from dtzero.chern import ChernNumbers, ThreefoldSpec
 from dtzero.cobordism import CobordismDecomposition, decompose
 from dtzero.dt import DTSeries, dt_series
+from dtzero.lattice import EpsilonSchedule, PointConfig
 from dtzero.plane_partitions import PlanePartition
 from dtzero.series import TruncatedSeries
+from dtzero.verify import Check
 
 P3 = ThreefoldSpec.builtin("P3")
 
@@ -28,6 +31,9 @@ def examples():
         (dt_series(P3, 2), dt_series(P3, 2), dt_series(P3, 3)),
         (decompose(ChernNumbers(64, 24, 4)), decompose(ChernNumbers(64, 24, 4)), decompose(ChernNumbers(0, 0, -200))),
         (PlanePartition(((2, 1), (1,))), PlanePartition([[2, 1], [1]]), PlanePartition(((1,),))),
+        (PointConfig([(0, 1, 0)]), PointConfig(points=((Fraction(0), 1, Fraction(0, 2)),)), PointConfig([(1, 1, 0)])),
+        (EpsilonSchedule(2, 1, 4), EpsilonSchedule(n=2, c_sq=Fraction(2, 2), ratio_sq=4), EpsilonSchedule(2, 1, 9)),
+        (Check("lattice/bell-counts", True, 6), Check("lattice/bell-counts", True, 6, ""), Check("x", False, 1, "q^1")),
     ]
 
 
@@ -41,6 +47,9 @@ def test_repr_text():
         "CobordismDecomposition(r1=Fraction(1, 1), r2=Fraction(0, 1), r3=Fraction(0, 1), m=1)"
     )
     assert repr(PlanePartition([[2, 1], [1]])) == "PlanePartition(rows=((2, 1), (1,)))"
+    assert repr(PointConfig([(0, 1, 0)])) == "PointConfig(points=((Fraction(0, 1), Fraction(1, 1), Fraction(0, 1)),))"
+    assert repr(EpsilonSchedule(2, 1, 4)) == "EpsilonSchedule(n=2, c_sq=Fraction(1, 1), ratio_sq=Fraction(4, 1))"
+    assert repr(Check("x", True, 1)) == "Check(name='x', ok=True, cases=1, detail='')"
 
 
 @pytest.mark.parametrize("value", [group[0] for group in examples()], ids=lambda v: type(v).__name__)
@@ -111,6 +120,30 @@ def test_replace_validates_like_the_constructor():
         dt_series(P3, 1)._replace(series=TruncatedSeries([2, 0]))
     with pytest.raises(ValueError, match="weakly decrease along rows"):
         PlanePartition(((1,),))._replace(rows=((1, 2),))
+    assert PointConfig([(0, 0, 0)])._replace(points=[(1, 2, 3)]) == PointConfig([(1, 2, 3)])
+    with pytest.raises(ValueError, match="exactly three coordinates"):
+        PointConfig([(0, 0, 0)])._replace(points=[(1, 2)])
+    schedule = EpsilonSchedule(2, 1, 4)
+    assert type(schedule._replace(c_sq=2).c_sq) is Fraction
+    with pytest.raises(ValueError, match="the bound c must be positive"):
+        schedule._replace(c_sq=0)
+    with pytest.raises(ValueError, match="the ratio R must exceed 1"):
+        schedule._replace(ratio_sq=1)
+    with pytest.raises(ValueError, match="n must be a non-negative integer"):
+        schedule._replace(n=-1)
+    assert Check("x", True, 1)._replace(ok=False, detail="q^1") == Check("x", False, 1, "q^1")
+
+
+def test_schedule_checks_fire_in_order():
+    # n, then c_sq, then ratio_sq are each checked for type before either bound
+    with pytest.raises(ValueError, match="n must be a non-negative integer"):
+        EpsilonSchedule(True, 2.5, 0)
+    with pytest.raises(TypeError, match="got 2.5"):
+        EpsilonSchedule(2, 2.5, 0)
+    with pytest.raises(TypeError, match="got 0.5"):
+        EpsilonSchedule(2, 0, 0.5)
+    with pytest.raises(ValueError, match="the bound c must be positive"):
+        EpsilonSchedule(2, 0, 0)
 
 
 def test_records_are_tuples_of_their_fields():

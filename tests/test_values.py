@@ -1,8 +1,11 @@
 """Every integer argument of the package goes through `_values._int`: a bool,
 a float, a string or a Fraction is refused with a ValueError that names the
-argument, never truncated, and so is an int below the argument's least value."""
+argument, never truncated, and so is an int below the argument's least value.
+Every rational argument goes through `_values._exact`, which takes ints and
+Fractions only."""
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -10,14 +13,17 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from dtzero import (
+    ChernNumbers,
     EpsilonSchedule,
     PlanePartition,
+    PointConfig,
     SetPartition,
     SpecDocumentError,
     ThreefoldSpec,
     TruncatedSeries,
     chern_of_hypersurface,
     chern_of_projective_space_product,
+    chern_scale,
     count_plane_partitions,
     discrepancy_degrees,
     dt_series,
@@ -119,3 +125,75 @@ def test_long_values_are_clipped():
 def test_plane_partition_heights_are_not_truncated():
     with pytest.raises(ValueError, match="height must be a positive integer, got 2.5"):
         PlanePartition([[2.5]])
+
+
+HUGE = 10**5000  # past Python's 4 300-digit limit for writing an int in decimal
+
+
+@pytest.mark.parametrize("row_id, call, name, least", [row for row in ROWS if row[3] is not None],
+                         ids=[row[0] for row in ROWS if row[3] is not None])
+def test_ints_past_the_digit_limit_are_named(row_id, call, name, least):
+    kind = "a positive integer" if least == 1 else "a non-negative integer"
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be {kind}, got an int of about 5001 digits$"):
+        call(-HUGE)
+
+
+@pytest.mark.parametrize("suite", ["macmahon", "lattice", "cobordism", "universality", "all"])
+def test_caps_name_ints_past_the_digit_limit(suite):
+    with pytest.raises(ValueError, match=f"^max_n must be at most {max_n_limit(suite)} for suite {suite}, "
+                                         "got an int of about 5001 digits$"):
+        run_suite(suite, HUGE)
+    with pytest.raises(ValueError, match="^dims must sum to 3, got a list holding an int too long to write$"):
+        ThreefoldSpec.product([1, HUGE])
+
+
+@pytest.mark.parametrize("call, valid, refused, name", [
+    (chern_of_hypersurface, 1, True, "degree"),
+    (chern_of_hypersurface, 5, 5.0, "degree"),
+    (lambda v: chern_of_projective_space_product([v, 1, 1]), 1, True, "dims[0]"),
+    (lambda v: chern_of_projective_space_product([v]), 3, 3.0, "dims[0]"),
+], ids=["hypersurface-True", "hypersurface-5.0", "product-True", "product-3.0"])
+def test_family_caches_sit_behind_the_checks(call, valid, refused, name):
+    # a cache key takes True for 1 and 5.0 for 5, so a filled cache must not answer first
+    call(valid)
+    refuses(call, name, refused)
+
+
+# (row id, call with the value in the checked rational slot); 3 and 5/2 are
+# accepted in every slot
+RATIONAL_ROWS = [
+    ("ChernNumbers.c111", lambda v: ChernNumbers(v, 0, 0)),
+    ("ChernNumbers.c12", lambda v: ChernNumbers(0, v, 0)),
+    ("ChernNumbers.c3", lambda v: ChernNumbers(0, 0, v)),
+    ("chern_scale", lambda v: chern_scale(v, ChernNumbers(64, 24, 4))),
+    ("ThreefoldSpec.scaled", lambda v: ThreefoldSpec.scaled(v, P3)),
+    ("PointConfig", lambda v: PointConfig([(0, v, 0)])),
+    ("EpsilonSchedule.c_sq", lambda v: EpsilonSchedule(n=1, c_sq=v, ratio_sq=4)),
+    ("EpsilonSchedule.ratio_sq", lambda v: EpsilonSchedule(n=1, c_sq=1, ratio_sq=v)),
+    ("EpsilonSchedule.default_for", lambda v: EpsilonSchedule.default_for(PointConfig([(0, 0, 0)]), v)),
+    ("TruncatedSeries", lambda v: TruncatedSeries([1, v])),
+]
+RATIONAL_IDS = [row[0] for row in RATIONAL_ROWS]
+
+
+def refuses_inexact(call, value) -> None:
+    with pytest.raises(TypeError, match="^exact values are ints or Fractions, not floating point or other types, got "):
+        call(value)
+
+
+@pytest.mark.parametrize("row_id, call", RATIONAL_ROWS, ids=RATIONAL_IDS)
+@pytest.mark.parametrize("value", [True, False, 2.5, "0.1", "2", "1e1000000", Decimal("0.25"), None], ids=repr)
+def test_inexact_values_are_refused(row_id, call, value):
+    refuses_inexact(call, value)
+
+
+@pytest.mark.parametrize("row_id, call", RATIONAL_ROWS, ids=RATIONAL_IDS)
+def test_ints_and_fractions_are_accepted(row_id, call):
+    call(3)
+    call(Fraction(5, 2))
+
+
+@pytest.mark.parametrize("row_id, call", RATIONAL_ROWS, ids=RATIONAL_IDS)
+@given(value=st.one_of(st.floats(), st.booleans(), st.text(), st.decimals()))
+def test_drawn_inexact_values_are_refused(row_id, call, value):
+    refuses_inexact(call, value)
