@@ -21,7 +21,7 @@ _SUBMODULE_EXPORTS = {
     "series": ("OrderMismatchError", "TruncatedSeries"),
     "macmahon": ("macmahon_neg", "macmahon_series", "sigma2"),
     "plane_partitions": (
-        "DEFAULT_ORACLE_BOUND",
+        "ORACLE_BOUND",
         "PlanePartition",
         "count_plane_partitions",
         "iter_plane_partitions",

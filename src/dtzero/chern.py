@@ -317,14 +317,14 @@ def _parse_product(value, where: str, depth: int) -> tuple[int, ...]:
 def _parse_union(value, where: str, depth: int) -> tuple["ThreefoldSpec", ...]:
     if not isinstance(value, list):
         raise SpecDocumentError(f"{where}: expected a list of specs")
-    return tuple(parse_spec_document(part, f"{where}[{i}]", depth + 1) for i, part in enumerate(value))
+    return tuple(_parse_document(part, f"{where}[{i}]", depth + 1) for i, part in enumerate(value))
 
 
 def _parse_scaled(value, where: str, depth: int) -> tuple[Fraction, "ThreefoldSpec"]:
     if not isinstance(value, dict) or set(value) != {"factor", "of"}:
         raise SpecDocumentError(f"{where}: expected the keys factor and of")
     factor = _parse_factor(value["factor"], f"{where}.factor")
-    return factor, parse_spec_document(value["of"], f"{where}.of", depth + 1)
+    return factor, _parse_document(value["of"], f"{where}.of", depth + 1)
 
 
 class _SpecKind(NamedTuple):
@@ -342,7 +342,7 @@ class _SpecKind(NamedTuple):
 SPEC_KINDS: dict[str, _SpecKind] = {
     "builtin": _SpecKind(
         parse=_parse_builtin,
-        resolve=lambda name: BUILTIN_THREEFOLDS[name].resolve(),
+        resolve=lambda name: _builtin_chern(name),
         label=lambda name: name,
         document=lambda name: name,
     ),
@@ -366,7 +366,8 @@ SPEC_KINDS: dict[str, _SpecKind] = {
     ),
     "disjoint_union": _SpecKind(
         parse=_parse_union,
-        resolve=lambda parts: reduce(chern_disjoint_union, (p.resolve() for p in parts), ChernNumbers(0, 0, 0)),
+        # one sum per field and one validated triple; the zero triple is the empty union's
+        resolve=lambda parts: ChernNumbers(*map(sum, zip(*(p.resolve() for p in parts), (0, 0, 0)))),
         label=lambda parts: " + ".join(p.label() for p in parts) or "empty",
         document=lambda parts: [p.to_document() for p in parts],
     ),
@@ -426,9 +427,6 @@ class ThreefoldSpec(NamedTuple):
         """Evaluate the constructor expression to a Chern triple."""
         return SPEC_KINDS[self.kind].resolve(self.value)
 
-    def is_integral(self) -> bool:
-        return self.resolve().is_integral()
-
     def label(self) -> str:
         return SPEC_KINDS[self.kind].label(self.value)
 
@@ -447,10 +445,20 @@ BUILTIN_THREEFOLDS: dict[str, ThreefoldSpec] = {
 }
 
 
-def parse_spec_document(doc, where: str = "spec", depth: int = 0) -> ThreefoldSpec:
-    """Validate a JSON spec document and build the ThreefoldSpec it denotes.
+# Keyed by the name string, and filled only once BUILTIN_THREEFOLDS knows the
+# name: an unknown name raises KeyError, which is never cached.
+@lru_cache(maxsize=None)
+def _builtin_chern(name: str) -> ChernNumbers:
+    return BUILTIN_THREEFOLDS[name].resolve()
 
-    `where` is the document's path in error messages; `depth` counts the
+
+def parse_spec_document(doc) -> ThreefoldSpec:
+    """Validate a JSON spec document and build the ThreefoldSpec it denotes."""
+    return _parse_document(doc, "spec", 0)
+
+
+def _parse_document(doc, where: str, depth: int) -> ThreefoldSpec:
+    """`where` is the document's path in error messages; `depth` counts the
     enclosing disjoint_union and scaled levels."""
     if depth > MAX_SPEC_DEPTH:
         raise SpecDocumentError(f"{where}: specs nest deeper than {MAX_SPEC_DEPTH} levels")

@@ -17,13 +17,7 @@ from fractions import Fraction
 from . import __version__
 from ._values import _json_number
 from .chern import BUILTIN_THREEFOLDS, ChernNumbers, ThreefoldSpec, twist_exponent
-from .chern import (  # re-exported
-    MAX_FACTOR_DIGITS,
-    MAX_SPEC_DEPTH,
-    MAX_SPEC_FILE_CHARS,
-    SpecDocumentError,
-    parse_spec_document,
-)
+from .chern import MAX_SPEC_FILE_CHARS, SpecDocumentError, parse_spec_document
 from .cobordism import decompose, verify_exponent_identity
 from .dt import DEFAULT_ORDER, NonIntegralSpecError, _honest_exponent, dt_series
 

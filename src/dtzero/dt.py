@@ -32,7 +32,6 @@ class NonIntegralSpecError(ValueError):
 class _DTSeriesFields(NamedTuple):
     series: TruncatedSeries
     exponent: int
-    source: ThreefoldSpec
 
 
 class DTSeries(_DTSeriesFields):
@@ -40,20 +39,16 @@ class DTSeries(_DTSeriesFields):
 
     __slots__ = ()
 
-    def __new__(cls, series: TruncatedSeries, exponent: int, source: ThreefoldSpec):
+    def __new__(cls, series: TruncatedSeries, exponent: int):
         if series[0] != 1:
             raise ValueError("a DT series must have constant coefficient 1")
         if not series.is_integral():
             raise ValueError("a DT series must have integer coefficients")
-        return super().__new__(cls, series, exponent, source)
+        return super().__new__(cls, series, exponent)
 
     _make = _make
 
     __add__ = __radd__ = __mul__ = __rmul__ = _refuse_sequence_ops
-
-    @property
-    def order(self) -> int:
-        return self.series.order
 
     def coefficients(self) -> tuple[int, ...]:
         return self.series.integer_coefficients()
@@ -81,4 +76,4 @@ def dt_series(spec: ThreefoldSpec, order: int = DEFAULT_ORDER) -> DTSeries:
     """
     exponent = _honest_exponent(spec)
     series = _macmahon_neg_cached(order) ** exponent
-    return DTSeries(series=series, exponent=exponent, source=spec)
+    return DTSeries(series=series, exponent=exponent)

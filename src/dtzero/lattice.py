@@ -427,11 +427,11 @@ class EpsilonSchedule(_EpsilonScheduleFields):
     __add__ = __radd__ = __mul__ = __rmul__ = _refuse_sequence_ops
 
     @classmethod
-    def default_for(cls, x: PointConfig, ratio: Rational = 16) -> "EpsilonSchedule":
-        """Schedule with c = (minimum pairwise gap)/8 and the given ratio."""
+    def default_for(cls, x: PointConfig) -> "EpsilonSchedule":
+        """Schedule with c = (minimum pairwise gap)/8 and ratio 16."""
         gap_sq = x.min_gap_sq()
         c_sq = Fraction(1) if gap_sq is None else gap_sq / 64
-        return cls(n=x.n, c_sq=c_sq, ratio_sq=_exact(ratio) ** 2)
+        return cls(n=x.n, c_sq=c_sq, ratio_sq=256)
 
     def eps_sq(self, p: SetPartition) -> Fraction:
         if p.n != self.n:

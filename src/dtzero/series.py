@@ -35,35 +35,12 @@ class TruncatedSeries:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_coefficients(cls, coefficients: Iterable[Rational], order: int | None = None) -> "TruncatedSeries":
-        """Build a series, zero-padding up to ``order`` (an int >= 0) when given."""
-        coeffs = list(coefficients)
-        if order is not None:
-            if len(coeffs) > _int(order, "order", 0) + 1:
-                raise ValueError("more coefficients than the requested order allows")
-            coeffs.extend([0] * (order + 1 - len(coeffs)))
-        return cls(coeffs)
-
-    @classmethod
-    def constant(cls, value: Rational, order: int) -> "TruncatedSeries":
-        return cls.from_coefficients([value], order)
-
-    @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
-        return cls.constant(0, order)
+        return cls([0] * (_int(order, "order", 0) + 1))
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
-        return cls.constant(1, order)
-
-    @classmethod
-    def monomial(cls, value: Rational, power: int, order: int) -> "TruncatedSeries":
-        """The series value*q^power at truncation order, for ints 0 <= power <= order."""
-        if _int(power, "power", 0) > _int(order, "order", 0):
-            raise ValueError("monomial power must lie within the truncation order")
-        coeffs = [0] * (order + 1)
-        coeffs[power] = value
-        return cls(coeffs)
+        return cls([1] + [0] * _int(order, "order", 0))
 
     # ------------------------------------------------------------------
     # basic accessors

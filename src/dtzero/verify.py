@@ -73,9 +73,8 @@ def _bell_numbers(count: int) -> list[int]:
 
 
 def _oracle_failures(series, limit: int):
-    bound = max(limit, plane_partitions.DEFAULT_ORACLE_BOUND)
     for k in range(limit + 1):
-        counted = plane_partitions.count_plane_partitions(k, bound=bound)
+        counted = plane_partitions.count_plane_partitions(k)
         if series[k] != counted:
             yield f"q^{k}: product formula {series[k]} vs enumeration {counted}"
 
@@ -89,8 +88,8 @@ def _log_closed_form_failures(limit: int):
 
 
 def suite_macmahon(max_n: int | None = None) -> list[Check]:
-    # the enumeration oracle is practical to ~25; the knob never exceeds that
-    limit = 12 if max_n is None else min(max_n, 25)
+    # the knob never exceeds the largest size the enumeration oracle takes
+    limit = 12 if max_n is None else min(max_n, plane_partitions.ORACLE_BOUND)
     series = macmahon.macmahon_series(limit)
     twisted = macmahon.macmahon_neg(limit)
     return [
@@ -253,14 +252,19 @@ MAX_N = {"macmahon": 10_000, "lattice": 10_000, "cobordism": 10_000, "universali
 
 def max_n_limit(name: str) -> int:
     """The largest --max-n accepted by one suite, or by every suite for "all"."""
-    return min(MAX_N.values()) if name == "all" else MAX_N[name]
+    if name == "all":
+        return min(MAX_N.values())
+    if not isinstance(name, str) or name not in MAX_N:
+        raise ValueError(f"unknown suite {_show(name)}; known suites: {', '.join(SUITES)}, all")
+    return MAX_N[name]
 
 
 def run_suite(name: str, max_n: int | None = None) -> list[Check]:
     """Run one named suite, or every suite for "all".  `max_n` is None, for
     each suite's default size, or a non-negative int up to max_n_limit(name)."""
-    if max_n is not None and _int(max_n, "max_n", 0) > max_n_limit(name):
-        raise ValueError(f"max_n must be at most {max_n_limit(name)} for suite {name}, got {_show(max_n)}")
+    limit = max_n_limit(name)
+    if max_n is not None and _int(max_n, "max_n", 0) > limit:
+        raise ValueError(f"max_n must be at most {limit} for suite {name}, got {_show(max_n)}")
     if name == "all":
         out = []
         for suite in SUITES.values():

@@ -187,9 +187,9 @@ class TestThreefoldSpec:
     def test_scaled(self):
         spec = ThreefoldSpec.scaled(Fraction(1, 2), ThreefoldSpec.builtin("P3"))
         assert spec.resolve() == ChernNumbers(32, 12, 2)
-        assert spec.is_integral()
+        assert spec.resolve().is_integral()
         third = ThreefoldSpec.scaled(Fraction(1, 3), ThreefoldSpec.builtin("P3"))
-        assert not third.is_integral()
+        assert not third.resolve().is_integral()
 
     @pytest.mark.parametrize("make, who", [
         (lambda: ThreefoldSpec.explicit((1, 2, 3)), "ThreefoldSpec.explicit needs a ChernNumbers"),
@@ -213,6 +213,12 @@ class TestThreefoldSpec:
         parts = [ThreefoldSpec.builtin("P3"), ThreefoldSpec.hypersurface(5), ThreefoldSpec.product([1, 2])] * 500
         assert ThreefoldSpec.disjoint_union(parts).resolve() == ChernNumbers(59000, 24000, -95000)
         assert len(expansions) <= 3
+
+    def test_builtin_cache_answers_only_its_names(self):
+        assert ThreefoldSpec.builtin("P3").resolve() == P3
+        for name in (True, 1, "P9"):
+            with pytest.raises(KeyError):
+                ThreefoldSpec("builtin", name).resolve()
 
     def test_constructors_refuse_what_their_documents_refuse(self):
         with pytest.raises(ValueError, match="degree must be a positive integer, got 0"):

@@ -11,12 +11,21 @@ import pytest
 from hypothesis import given, settings
 
 import dtzero
-from dtzero import BUILTIN_THREEFOLDS, ThreefoldSpec, TruncatedSeries, degrees, macmahon, plane_partitions, verify
+from dtzero import (
+    BUILTIN_THREEFOLDS,
+    ORACLE_BOUND,
+    ChernNumbers,
+    ThreefoldSpec,
+    TruncatedSeries,
+    degrees,
+    macmahon,
+    plane_partitions,
+    verify,
+)
+from dtzero.chern import MAX_FACTOR_DIGITS, MAX_SPEC_DEPTH
 from dtzero.cli import (
     MAX_CHERN_NUMBER,
-    MAX_FACTOR_DIGITS,
     MAX_ORDER,
-    MAX_SPEC_DEPTH,
     MAX_SPEC_FILE_CHARS,
     MAX_TWIST_EXPONENT,
     SpecDocumentError,
@@ -390,6 +399,23 @@ class TestCobordismCommand:
         assert code == 0
         assert out.splitlines()[0] == "r1\t1"
 
+    def test_union_builds_few_chern_triples(self, tmp_path, capsys, monkeypatch):
+        # a union sums its parts once, so the count does not grow with the parts
+        path = tmp_path / "union.json"
+        path.write_text(json.dumps({"disjoint_union": [{"builtin": "P3"}] * 1000}))
+        built = []
+        real = ChernNumbers.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(ChernNumbers, "__new__", counted)
+        code, out, _ = run(capsys, "cobordism", "--spec-file", str(path))
+        assert code == 0
+        assert json.loads(out)["decomposition"]["r1"] == 1000
+        assert len(built) < 20
+
 
 class TestDiscrepancyCommand:
     def test_p3_table(self, capsys):
@@ -495,6 +521,14 @@ class TestVerifyCommand:
         assert code == 0
         assert all(line.startswith("PASS") for line in out.splitlines())
 
+    def test_macmahon_suite_stops_at_the_oracle_bound(self, capsys):
+        at_bound = run(capsys, "verify", "--suite", "macmahon", "--max-n", str(ORACLE_BOUND))
+        assert at_bound[0] == 0
+        assert run(capsys, "verify", "--suite", "macmahon", "--max-n", "10000") == at_bound
+        code, out, _ = run(capsys, "verify", "--suite", "macmahon", "--max-n", "10000", "--format", "json")
+        assert code == 0
+        assert [c["cases"] for c in json.loads(out)["checks"]] == [26, 26, 25]
+
     def test_cobordism_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "cobordism", "--max-n", "50")
         assert code == 0
@@ -516,8 +550,8 @@ class TestVerifyCommand:
         # corrupt the oracle: the suite must fail and point at the spot
         real = plane_partitions.count_plane_partitions
 
-        def corrupted(n, bound=plane_partitions.DEFAULT_ORACLE_BOUND):
-            value = real(n, bound)
+        def corrupted(n):
+            value = real(n)
             return value + 1 if n == 7 else value
 
         monkeypatch.setattr(plane_partitions, "count_plane_partitions", corrupted)

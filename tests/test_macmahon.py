@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from dtzero import (
-    DEFAULT_ORACLE_BOUND,
+    ORACLE_BOUND,
     PlanePartition,
     TruncatedSeries,
     count_plane_partitions,
@@ -23,7 +23,7 @@ def product_oracle(order):
     and independent of the integer prefix sums in macmahon_series."""
     result = TruncatedSeries.one(order)
     for n in range(1, order + 1):
-        factor = TruncatedSeries.one(order) - TruncatedSeries.monomial(1, n, order)
+        factor = TruncatedSeries.one(order) - TruncatedSeries([0] * n + [1] + [0] * (order - n))
         result = result * factor ** (-n)
     return result
 
@@ -49,9 +49,11 @@ class TestOracle:
             assert all(pp.size() == n for pp in pps)
 
     def test_oracle_limit(self):
+        assert count_plane_partitions(ORACLE_BOUND) == 696033  # A000219(25)
         with pytest.raises(ValueError, match="oracle limit exceeded"):
-            count_plane_partitions(21)
-        assert count_plane_partitions(21, bound=21) > 0
+            count_plane_partitions(ORACLE_BOUND + 1)
+        with pytest.raises(ValueError, match="oracle limit exceeded"):
+            next(iter_plane_partitions(ORACLE_BOUND + 1))
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -94,9 +96,9 @@ class TestSeries:
         assert all(c > 0 for c in macmahon_series(12).coefficients)
 
     def test_matches_enumeration_to_oracle_bound(self):
-        s = macmahon_series(DEFAULT_ORACLE_BOUND)
-        assert [s[n] for n in range(DEFAULT_ORACLE_BOUND + 1)] == [
-            count_plane_partitions(n) for n in range(DEFAULT_ORACLE_BOUND + 1)
+        s = macmahon_series(ORACLE_BOUND)
+        assert [s[n] for n in range(ORACLE_BOUND + 1)] == [
+            count_plane_partitions(n) for n in range(ORACLE_BOUND + 1)
         ]
 
     @pytest.mark.parametrize("order", range(26))

@@ -61,10 +61,8 @@ ROWS = [
     ("count_plane_partitions", count_plane_partitions, "n", 0),
     ("iter_plane_partitions", lambda v: list(iter_plane_partitions(v)), "n", 0),
     ("PlanePartition", lambda v: PlanePartition([[v]]), "height", 1),
-    ("TruncatedSeries.from_coefficients", lambda v: TruncatedSeries.from_coefficients([1], v), "order", 0),
+    ("TruncatedSeries.zero", TruncatedSeries.zero, "order", 0),
     ("TruncatedSeries.one", TruncatedSeries.one, "order", 0),
-    ("TruncatedSeries.monomial.power", lambda v: TruncatedSeries.monomial(1, v, 3), "power", 0),
-    ("TruncatedSeries.monomial.order", lambda v: TruncatedSeries.monomial(1, 0, v), "order", 0),
     ("chern_of_hypersurface", chern_of_hypersurface, "degree", 1),
     ("chern_of_projective_space_product", lambda v: chern_of_projective_space_product([v]), "dims[0]", 1),
     ("ThreefoldSpec.hypersurface", ThreefoldSpec.hypersurface, "degree", 1),
@@ -115,6 +113,14 @@ def test_run_suite_caps_max_n(suite):
         run_suite(suite, max_n_limit(suite) + 1)
     with pytest.raises(ValueError, match="^max_n must be at most 200 for suite universality, got 1000000$"):
         run_suite("universality", 10**6)
+
+
+@pytest.mark.parametrize("call", [run_suite, max_n_limit], ids=["run_suite", "max_n_limit"])
+@pytest.mark.parametrize("name", ["nope", True, ["all"]], ids=repr)
+def test_unknown_suites_are_refused(call, name):
+    known = "known suites: macmahon, lattice, cobordism, universality, all"
+    with pytest.raises(ValueError, match=f"^unknown suite {re.escape(repr(name))}; {known}$"):
+        call(name)
 
 
 def test_long_values_are_clipped():
@@ -170,7 +176,6 @@ RATIONAL_ROWS = [
     ("PointConfig", lambda v: PointConfig([(0, v, 0)])),
     ("EpsilonSchedule.c_sq", lambda v: EpsilonSchedule(n=1, c_sq=v, ratio_sq=4)),
     ("EpsilonSchedule.ratio_sq", lambda v: EpsilonSchedule(n=1, c_sq=1, ratio_sq=v)),
-    ("EpsilonSchedule.default_for", lambda v: EpsilonSchedule.default_for(PointConfig([(0, 0, 0)]), v)),
     ("TruncatedSeries", lambda v: TruncatedSeries([1, v])),
 ]
 RATIONAL_IDS = [row[0] for row in RATIONAL_ROWS]
