@@ -6,8 +6,9 @@ the rank-three cobordism decomposition, and the set-partition lattice
 machinery (multiplicities, diagonal neighborhoods, discrepancy
 recursion) that organizes the series coefficients.
 
-The public names below load their submodule on first access (PEP 562),
-so a process that only needs the series never imports the lattice.
+_SUBMODULE_EXPORTS is the one list of public names: the submodules define
+no `__all__` of their own.  Each name loads its submodule on first access
+(PEP 562), so a process that only needs the series never imports the lattice.
 Each access reads the submodule's current attribute and nothing is
 cached here, so a name patched in its submodule (by a test or a tracer)
 reads the same through the package, and reads the original once restored.
@@ -67,17 +68,14 @@ _SUBMODULE_EXPORTS = {
     ),
     "dt": ("DEFAULT_ORDER", "DTSeries", "NonIntegralSpecError", "dt_series"),
     "degrees": (
-        "MultiplicativityReport",
-        "RootArgumentReport",
-        "UniversalityReport",
         "discrepancy_degrees",
         "dt_rational_power",
         "log_macmahon_neg_coeffs",
+        "multiplicativity_failures",
         "partition_product_sum",
         "reconstructed_coefficient",
-        "verify_multiplicativity",
-        "verify_root_argument",
-        "verify_universality",
+        "root_argument_failures",
+        "universality_failures",
     ),
 }
 

@@ -18,21 +18,6 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ._values import Rational, _clip, _exact, _int, _json_number, _make, _refuse_sequence_ops, _show
 
-__all__ = [
-    "BUILTIN_THREEFOLDS",
-    "ChernNumbers",
-    "SpecDocumentError",
-    "ThreefoldSpec",
-    "catalog",
-    "chern_disjoint_union",
-    "chern_of_hypersurface",
-    "chern_of_projective_space_product",
-    "chern_scale",
-    "parse_spec_document",
-    "twist_class_monomials",
-    "twist_exponent",
-]
-
 
 def _tidy(value: Fraction):
     """Render exact rationals as ints whenever they are integers."""
@@ -289,47 +274,61 @@ def _parse_factor(value, where: str) -> Fraction:
     raise SpecDocumentError(f"{where}: expected an integer or 'p/q' string, got {_show(value)}")
 
 
-def _parse_builtin(value, where: str, depth: int = 0) -> str:
+def _parse_builtin(value, where: str) -> str:
     if not isinstance(value, str) or value not in BUILTIN_THREEFOLDS:
         known = ", ".join(sorted(BUILTIN_THREEFOLDS))
         raise SpecDocumentError(f"{where}: unknown name {_show(value)}; known names: {known}")
     return value
 
 
-def _parse_chern(value, where: str, depth: int) -> ChernNumbers:
+# The parse steps below name no path on success.  An error message starts with
+# the failing part's path below the value being parsed, and each enclosing
+# level puts its own step in front as the error passes out through it.
+
+
+def _parse_chern(value, depth: int) -> ChernNumbers:
     if not isinstance(value, dict) or set(value) != set(ChernNumbers._fields):
-        raise SpecDocumentError(f"{where}: expected the keys c111, c12, c3")
-    return ChernNumbers(*(_int(value[k], f"{where}.{k}") for k in ChernNumbers._fields))
+        raise SpecDocumentError(": expected the keys c111, c12, c3")
+    return ChernNumbers(*(_int(value[k], f".{k}") for k in ChernNumbers._fields))
 
 
-def _parse_hypersurface(value, where: str, depth: int) -> int:
+def _parse_hypersurface(value, depth: int) -> int:
     if not isinstance(value, dict) or set(value) != {"degree"}:
-        raise SpecDocumentError(f"{where}: expected the key degree")
-    return _int(value["degree"], f"{where}.degree", 1)
+        raise SpecDocumentError(": expected the key degree")
+    return _int(value["degree"], ".degree", 1)
 
 
-def _parse_product(value, where: str, depth: int) -> tuple[int, ...]:
+def _parse_product(value, depth: int) -> tuple[int, ...]:
     if not isinstance(value, list):
-        raise SpecDocumentError(f"{where}: expected a list of dimensions")
-    return _dimensions(value, where)
+        raise SpecDocumentError(": expected a list of dimensions")
+    return _dimensions(value, "")
 
 
-def _parse_union(value, where: str, depth: int) -> tuple["ThreefoldSpec", ...]:
+def _parse_union(value, depth: int) -> tuple["ThreefoldSpec", ...]:
     if not isinstance(value, list):
-        raise SpecDocumentError(f"{where}: expected a list of specs")
-    return tuple(_parse_document(part, f"{where}[{i}]", depth + 1) for i, part in enumerate(value))
+        raise SpecDocumentError(": expected a list of specs")
+    parts = []
+    try:
+        for part in value:
+            parts.append(_parse_document(part, depth + 1))
+    except SpecDocumentError as exc:
+        raise SpecDocumentError(f"[{len(parts)}]{exc}") from None
+    return tuple(parts)
 
 
-def _parse_scaled(value, where: str, depth: int) -> tuple[Fraction, "ThreefoldSpec"]:
+def _parse_scaled(value, depth: int) -> tuple[Fraction, "ThreefoldSpec"]:
     if not isinstance(value, dict) or set(value) != {"factor", "of"}:
-        raise SpecDocumentError(f"{where}: expected the keys factor and of")
-    factor = _parse_factor(value["factor"], f"{where}.factor")
-    return factor, _parse_document(value["of"], f"{where}.of", depth + 1)
+        raise SpecDocumentError(": expected the keys factor and of")
+    factor = _parse_factor(value["factor"], ".factor")
+    try:
+        return factor, _parse_document(value["of"], depth + 1)
+    except SpecDocumentError as exc:
+        raise SpecDocumentError(f".of{exc}") from None
 
 
 class _SpecKind(NamedTuple):
     """One kind of spec.  `parse` takes the value under the kind's key in a
-    document, its path and the nesting depth; the others take the spec's value."""
+    document and the nesting depth; the others take the spec's value."""
 
     parse: Callable
     resolve: Callable
@@ -341,7 +340,7 @@ class _SpecKind(NamedTuple):
 # document; error messages list the keys in this order.
 SPEC_KINDS: dict[str, _SpecKind] = {
     "builtin": _SpecKind(
-        parse=_parse_builtin,
+        parse=lambda name, depth: _parse_builtin(name, ""),
         resolve=lambda name: _builtin_chern(name),
         label=lambda name: name,
         document=lambda name: name,
@@ -453,30 +452,32 @@ def _builtin_chern(name: str) -> ChernNumbers:
 
 
 def parse_spec_document(doc) -> ThreefoldSpec:
-    """Validate a JSON spec document and build the ThreefoldSpec it denotes."""
-    return _parse_document(doc, "spec", 0)
+    """Validate a JSON spec document and build the ThreefoldSpec it denotes.
+    An error message starts with the failing part's path, such as
+    `spec.disjoint_union[1].builtin`."""
+    try:
+        return _parse_document(doc, 0)
+    except SpecDocumentError as exc:
+        raise SpecDocumentError(f"spec{exc}") from None
 
 
-def _parse_document(doc, where: str, depth: int) -> ThreefoldSpec:
-    """`where` is the document's path in error messages; `depth` counts the
-    enclosing disjoint_union and scaled levels."""
+def _parse_document(doc, depth: int) -> ThreefoldSpec:
+    """`depth` counts the enclosing disjoint_union and scaled levels."""
     if depth > MAX_SPEC_DEPTH:
-        raise SpecDocumentError(f"{where}: specs nest deeper than {MAX_SPEC_DEPTH} levels")
+        raise SpecDocumentError(f": specs nest deeper than {MAX_SPEC_DEPTH} levels")
     if not isinstance(doc, dict):
-        raise SpecDocumentError(f"{where}: expected an object, got {type(doc).__name__}")
+        raise SpecDocumentError(f": expected an object, got {type(doc).__name__}")
     if len(doc) != 1:
         keys = ", ".join(sorted(map(str, doc))) or "nothing"  # a Python dict may mix key types
-        raise SpecDocumentError(f"{where}: expected exactly one of the spec keys, got {_clip(keys)}")
+        raise SpecDocumentError(f": expected exactly one of the spec keys, got {_clip(keys)}")
     (key, value), = doc.items()
     kind = SPEC_KINDS.get(key)
     if kind is None:
-        raise SpecDocumentError(f"{where}: unknown spec key {_show(key)}; expected one of {', '.join(SPEC_KINDS)}")
+        raise SpecDocumentError(f": unknown spec key {_show(key)}; expected one of {', '.join(SPEC_KINDS)}")
     try:
-        return ThreefoldSpec(key, kind.parse(value, f"{where}.{key}", depth))
-    except SpecDocumentError:
-        raise
-    except ValueError as exc:  # an integer slot refused by _int, which names its path
-        raise SpecDocumentError(str(exc)) from None
+        return ThreefoldSpec(key, kind.parse(value, depth))
+    except ValueError as exc:  # a SpecDocumentError, or an integer slot refused by _int
+        raise SpecDocumentError(f".{key}{exc}") from None
 
 
 def catalog() -> tuple[ThreefoldSpec, ...]:

@@ -14,17 +14,6 @@ from typing import NamedTuple
 from .chern import ChernNumbers, chern_of_projective_space_product, twist_exponent
 from ._values import Rational, _refuse_sequence_ops
 
-__all__ = [
-    "GENERATOR_DIMS",
-    "CobordismDecomposition",
-    "ExponentIdentityReport",
-    "decompose",
-    "generator_chern_numbers",
-    "generator_determinant",
-    "generator_matrix",
-    "verify_exponent_identity",
-]
-
 # Y1 = P^3, Y2 = P^2 x P^1, Y3 = (P^1)^3
 GENERATOR_DIMS: tuple[tuple[int, ...], ...] = ((3,), (2, 1), (1, 1, 1))
 

@@ -12,27 +12,13 @@ library callers load this module.
 
 from fractions import Fraction
 from math import factorial
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from .chern import ThreefoldSpec, twist_exponent
-from .dt import DEFAULT_ORDER, DTSeries, _honest_exponent, _macmahon_neg_cached, dt_series
+from .dt import DEFAULT_ORDER, _honest_exponent, _macmahon_neg_cached, dt_series
 from .macmahon import sigma2
-from ._values import _int, _refuse_sequence_ops
+from ._values import _int
 from .series import TruncatedSeries
-
-__all__ = [
-    "MultiplicativityReport",
-    "RootArgumentReport",
-    "UniversalityReport",
-    "discrepancy_degrees",
-    "dt_rational_power",
-    "log_macmahon_neg_coeffs",
-    "partition_product_sum",
-    "reconstructed_coefficient",
-    "verify_multiplicativity",
-    "verify_root_argument",
-    "verify_universality",
-]
 
 
 def dt_rational_power(spec: ThreefoldSpec, order: int = DEFAULT_ORDER) -> tuple[TruncatedSeries, Fraction]:
@@ -47,51 +33,41 @@ def dt_rational_power(spec: ThreefoldSpec, order: int = DEFAULT_ORDER) -> tuple[
     return _macmahon_neg_cached(order) ** exponent, exponent
 
 
-class MultiplicativityReport(NamedTuple):
-    union: DTSeries
-    left: DTSeries
-    right: DTSeries
-    ok: bool
-
-    __add__ = __radd__ = __mul__ = __rmul__ = _refuse_sequence_ops
+def _first_difference(s: TruncatedSeries, t: TruncatedSeries) -> int:
+    """The least k with s[k] != t[k], for two unequal series of one order."""
+    return next(k for k, (x, y) in enumerate(zip(s.coefficients, t.coefficients)) if x != y)
 
 
-def verify_multiplicativity(a: ThreefoldSpec, b: ThreefoldSpec, order: int = DEFAULT_ORDER) -> MultiplicativityReport:
-    """The series of a disjoint union must equal the product of the series."""
-    left = dt_series(a, order)
-    right = dt_series(b, order)
-    union = dt_series(ThreefoldSpec.disjoint_union([a, b]), order)
-    ok = union.series == left.series * right.series
-    return MultiplicativityReport(union=union, left=left, right=right, ok=ok)
+def multiplicativity_failures(a: ThreefoldSpec, b: ThreefoldSpec, order: int) -> tuple[str, ...]:
+    """The series of a disjoint union must equal the product of the series.
+    Returns () when it does, else one line naming the pair and the first
+    coefficient that differs."""
+    product = dt_series(a, order).series * dt_series(b, order).series
+    union = dt_series(ThreefoldSpec.disjoint_union([a, b]), order).series
+    if union == product:
+        return ()
+    k = _first_difference(union, product)
+    return (f"{a.label()} + {b.label()}: q^{k}: union {union[k]} vs product {product[k]}",)
 
 
-class RootArgumentReport(NamedTuple):
-    power: TruncatedSeries
-    root: TruncatedSeries
-    expected: DTSeries
-    root_is_integral: bool
-    ok: bool
-
-    __add__ = __radd__ = __mul__ = __rmul__ = _refuse_sequence_ops
-
-
-def verify_root_argument(spec: ThreefoldSpec, m: int, order: int = DEFAULT_ORDER) -> RootArgumentReport:
+def root_argument_failures(spec: ThreefoldSpec, m: int, order: int) -> tuple[str, ...]:
     """Raise the series to the m-th power, take the 1/m-th power of that,
     which is the unique m-th root with constant term 1, and confirm it
     returns the series with integer coefficients.  This is the closing step
-    of the main uniqueness argument, run as arithmetic; m is a positive int."""
+    of the main uniqueness argument, run as arithmetic; m is a positive int.
+    Returns () when it holds, else a line for a root that is not integral
+    and a line for a root that is not the series."""
     _int(m, "m", 1)
-    expected = dt_series(spec, order)
-    power = expected.series ** m
-    root = power ** Fraction(1, m)
-    integral = root.is_integral()
-    return RootArgumentReport(
-        power=power,
-        root=root,
-        expected=expected,
-        root_is_integral=integral,
-        ok=integral and root == expected.series,
-    )
+    series = dt_series(spec, order).series
+    root = (series ** m) ** Fraction(1, m)
+    failures = []
+    if not root.is_integral():
+        k = next(k for k, c in enumerate(root.coefficients) if c.denominator != 1)
+        failures.append(f"{spec.label()}, m={m}: the root is not integral: q^{k}: {root[k]}")
+    if root != series:
+        k = _first_difference(root, series)
+        failures.append(f"{spec.label()}, m={m}: the root is not the series: q^{k}: {root[k]} vs {series[k]}")
+    return tuple(failures)
 
 
 def _lambdas(n_max: int) -> dict[int, int]:
@@ -100,12 +76,12 @@ def _lambdas(n_max: int) -> dict[int, int]:
     return {k: (-1) ** k * factorial(k - 1) * sigma2(k) for k in range(1, n_max + 1)}
 
 
-def discrepancy_degrees(spec: ThreefoldSpec, n_max: int = 10) -> dict[int, int]:
+def discrepancy_degrees(spec: ThreefoldSpec, n_max: int) -> dict[int, int]:
     """Per-size degrees t_1..t_{n_max}, for a positive int n_max, with
     n! * f_n = sum over partitions of [n] of prod t_{block size}.
 
     In closed form, t_k = K * lambda_k, from log DT_X = K log M(-q); no
-    series is built.  `verify_universality` checks it against the series
+    series is built.  `universality_failures` checks it against the series
     logarithm, and the partition-sum form is checked in the test suites.
     """
     lambdas = _lambdas(_int(n_max, "n_max", 1))
@@ -144,39 +120,19 @@ def log_macmahon_neg_coeffs(order: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(lam, factorial(k)) for k, lam in _lambdas(_int(order, "order", 1)).items())
 
 
-class UniversalityReport(NamedTuple):
-    lambdas: dict[int, int]
-    exponents: dict[str, int]
-    degrees: dict[str, dict[int, int]]
-    failures: tuple[str, ...]
-    ok: bool
-
-    __add__ = __radd__ = __mul__ = __rmul__ = _refuse_sequence_ops
-
-
-def verify_universality(specs: Sequence[ThreefoldSpec], n_max: int = 7) -> UniversalityReport:
+def universality_failures(specs: Sequence[ThreefoldSpec], n_max: int) -> tuple[str, ...]:
     """Check the closed form t_k = lambda_k * K against k! [q^k] log(series)
     for every given spec; a non-integral value fails too.  lambda_k depends
     on k alone, so the check pins every coefficient f_n to a universal
-    polynomial in the one Chern number K.  n_max is a positive int."""
+    polynomial in the one Chern number K.  n_max is a positive int.
+    Returns one line per degree that differs, () when none does."""
     lambdas = _lambdas(_int(n_max, "n_max", 1))
-    exponents: dict[str, int] = {}
-    degrees: dict[str, dict[int, int]] = {}
-    failures: list[str] = []
+    failures = []
     for spec in specs:
-        label = spec.label()
         d = dt_series(spec, n_max)
         logs = d.series.log1()
-        t = {k: factorial(k) * logs[k] for k in lambdas}
-        exponents[label] = d.exponent
-        degrees[label] = {k: int(v) if v.denominator == 1 else v for k, v in t.items()}
         for k, lam in lambdas.items():
-            if t[k] != lam * d.exponent:
-                failures.append(f"{label}: t_{k} = {t[k]} but lambda_{k}*K = {lam * d.exponent}")
-    return UniversalityReport(
-        lambdas=lambdas,
-        exponents=exponents,
-        degrees=degrees,
-        failures=tuple(failures),
-        ok=not failures,
-    )
+            t_k = factorial(k) * logs[k]
+            if t_k != lam * d.exponent:
+                failures.append(f"{spec.label()}: t_{k} = {t_k} but lambda_{k}*K = {lam * d.exponent}")
+    return tuple(failures)

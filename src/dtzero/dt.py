@@ -14,13 +14,6 @@ from . import macmahon
 from ._values import _clip, _make, _refuse_sequence_ops
 from .series import TruncatedSeries
 
-__all__ = [
-    "DEFAULT_ORDER",
-    "DTSeries",
-    "NonIntegralSpecError",
-    "dt_series",
-]
-
 DEFAULT_ORDER = 20
 
 

@@ -18,22 +18,6 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 from ._values import Rational, _exact, _int, _make, _refuse_sequence_ops
 
-__all__ = [
-    "EpsilonSchedule",
-    "InadmissibleScheduleError",
-    "PointConfig",
-    "SetPartition",
-    "alpha_factorial",
-    "classify_q_set",
-    "delta_transform",
-    "fiber_multiplicity_sum",
-    "in_discrepancy_set",
-    "multiplicative_delta_property",
-    "multiplicity",
-    "partitions",
-    "strict_diagonal_distance_sq",
-]
-
 
 class InadmissibleScheduleError(ValueError):
     """The epsilon schedule is too loose for the configuration: the deepest

@@ -7,12 +7,6 @@ The brute-force counting oracle that checks it lives in `plane_partitions`.
 from ._values import _int
 from .series import TruncatedSeries
 
-__all__ = [
-    "macmahon_neg",
-    "macmahon_series",
-    "sigma2",
-]
-
 
 def macmahon_series(order: int) -> TruncatedSeries:
     """M(q) = prod_{n=1}^{order} (1-q^n)^(-n), truncated at the non-negative

@@ -10,13 +10,6 @@ from typing import NamedTuple
 
 from ._values import _int, _make, _refuse_sequence_ops
 
-__all__ = [
-    "ORACLE_BOUND",
-    "PlanePartition",
-    "count_plane_partitions",
-    "iter_plane_partitions",
-]
-
 # Largest size the oracle enumerates, and the ceiling of `verify --suite
 # macmahon`: count_plane_partitions(25) takes about 0.25 s (2-vCPU x86 host,
 # Python 3.11).

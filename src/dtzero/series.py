@@ -12,8 +12,6 @@ from typing import Iterable
 
 from ._values import Rational, _exact, _int
 
-__all__ = ["TruncatedSeries", "OrderMismatchError"]
-
 
 class OrderMismatchError(ValueError):
     """Two series of different truncation orders were combined."""

@@ -19,9 +19,9 @@ from .cobordism import decompose, generator_chern_numbers, generator_determinant
 from .degrees import (
     discrepancy_degrees,
     log_macmahon_neg_coeffs,
+    multiplicativity_failures,
     reconstructed_coefficient,
-    verify_multiplicativity,
-    verify_universality,
+    universality_failures,
 )
 from .dt import dt_series
 from .lattice import (
@@ -227,11 +227,11 @@ def suite_universality(max_n: int | None = None) -> list[Check]:
     pairs = tuple(combinations_with_replacement(specs, 2))
     return [
         _check("universality/proportional-degrees", len(specs) * max(limit, 0),
-               verify_universality(specs, limit).failures if limit >= 1 else ()),
+               universality_failures(specs, limit) if limit >= 1 else ()),
         _check("universality/exponential-reconstruction", len(specs) * max(rebuild_limit, 0),
                _reconstruction_failures(specs, rebuild_limit)),
         _check("universality/disjoint-union-multiplicativity", len(pairs), (
-            f"{a.label()} + {b.label()}" for a, b in pairs if not verify_multiplicativity(a, b, order=10).ok)),
+            line for a, b in pairs for line in multiplicativity_failures(a, b, 10))),
     ]
 
 

@@ -570,17 +570,18 @@ class TestVerifyCommand:
         for suite in ("lattice", "universality"):
             _, out, _ = run(capsys, "verify", "--suite", suite, "--format", "json")
             passing.update((c["name"], c["cases"]) for c in json.loads(out)["checks"])
-        real_factorial, real_multiplicativity = verify.alpha_factorial, verify.verify_multiplicativity
+        real_factorial, real_multiplicativity = verify.alpha_factorial, verify.multiplicativity_failures
 
         def wrong_at_three(alpha):
             return real_factorial(alpha) + (alpha.n == 3)
 
         def one_pair_fails(a, b, order):
-            report = real_multiplicativity(a, b, order=order)
-            return report._replace(ok=report.ok and (a.label(), b.label()) != ("P2xP1", "quintic"))
+            if (a.label(), b.label()) == ("P2xP1", "quintic"):
+                return ("P2xP1 + quintic: an injected failure",)
+            return real_multiplicativity(a, b, order)
 
         monkeypatch.setattr(verify, "alpha_factorial", wrong_at_three)
-        monkeypatch.setattr(verify, "verify_multiplicativity", one_pair_fails)
+        monkeypatch.setattr(verify, "multiplicativity_failures", one_pair_fails)
         for suite, name, counterexample in [
             ("lattice", "lattice/fiber-multiplicity-sum", "n=3, alpha=SetPartition(3, 123), x="),
             ("universality", "universality/disjoint-union-multiplicativity", "P2xP1 + quintic"),

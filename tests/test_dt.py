@@ -7,27 +7,31 @@ import hypothesis.strategies as st
 
 from dtzero import (
     ChernNumbers,
+    DTSeries,
     NonIntegralSpecError,
     SetPartition,
     ThreefoldSpec,
     TruncatedSeries,
     catalog,
     decompose,
+    degrees,
     delta_transform,
     discrepancy_degrees,
     dt_rational_power,
     dt_series,
     macmahon_neg,
+    multiplicativity_failures,
     partition_product_sum,
     reconstructed_coefficient,
+    root_argument_failures,
     twist_exponent,
-    verify_multiplicativity,
-    verify_root_argument,
-    verify_universality,
+    universality_failures,
 )
 
 P3 = ThreefoldSpec.builtin("P3")
 QUINTIC = ThreefoldSpec.builtin("quintic")
+# twist exponent K = c3 - c1c2 = 1: its degrees are the universal lambda_k
+K_ONE = ThreefoldSpec.explicit(ChernNumbers(0, 0, 1))
 
 
 class TestDtSeries:
@@ -124,14 +128,25 @@ class TestRationalPower:
 
 class TestMultiplicativity:
     def test_same_factor_twice(self):
-        report = verify_multiplicativity(P3, P3, order=10)
-        assert report.ok
-        assert report.union.series == dt_series(P3, 10).series ** 2
+        assert multiplicativity_failures(P3, P3, 10) == ()
+        assert dt_series(ThreefoldSpec.disjoint_union([P3, P3]), 10).series == dt_series(P3, 10).series ** 2
 
     def test_mixed_factors(self):
-        report = verify_multiplicativity(P3, ThreefoldSpec.builtin("P1xP1xP1"), order=10)
-        assert report.ok
-        assert report.union.exponent == -36
+        cube = ThreefoldSpec.builtin("P1xP1xP1")
+        assert multiplicativity_failures(P3, cube, 10) == ()
+        assert dt_series(ThreefoldSpec.disjoint_union([P3, cube]), 10).exponent == -36
+
+    def test_a_wrong_union_names_the_pair(self, monkeypatch):
+        specs = catalog()
+        assert [multiplicativity_failures(a, b, 6) for a in specs for b in specs] == [()] * len(specs) ** 2
+        # the union's series replaced by P3's: 20 at q^1, where the product has -K = 220
+        real_dt_series = degrees.dt_series
+
+        def wrong_union(spec, order):
+            return real_dt_series(P3 if spec.kind == "disjoint_union" else spec, order)
+
+        monkeypatch.setattr(degrees, "dt_series", wrong_union)
+        assert multiplicativity_failures(P3, QUINTIC, 4) == ("P3 + quintic: q^1: union 20 vs product 220",)
 
     def test_empty_union_is_identity(self):
         empty = ThreefoldSpec.disjoint_union([])
@@ -149,20 +164,33 @@ class TestRootArgument:
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_catalog_roots(self, m):
         for spec in catalog():
-            report = verify_root_argument(spec, m, order=8)
-            assert report.ok
-            assert report.root_is_integral
+            assert root_argument_failures(spec, m, 8) == ()
 
     def test_index_one(self):
-        report = verify_root_argument(P3, 1, order=6)
-        assert report.ok
-        assert report.root == report.expected.series
+        assert root_argument_failures(P3, 1, 6) == ()
 
     @pytest.mark.parametrize("m", [0, -3, 2.0, Fraction(1, 2), "2"])
     def test_bad_index_raises(self, m):
         # without the check, m = 0 would reach Fraction(1, 0)
         with pytest.raises(ValueError, match="positive integer"):
-            verify_root_argument(P3, m, order=4)
+            root_argument_failures(P3, m, 4)
+
+    def test_a_wrong_root_names_the_spec(self, monkeypatch):
+        # every proper root half a unit off at q^2: not integral, and not the series
+        real_pow = TruncatedSeries.__pow__
+
+        def half_off_at_two(self, exponent):
+            result = real_pow(self, exponent)
+            if Fraction(exponent).denominator == 1:
+                return result
+            return TruncatedSeries(c + Fraction(k == 2, 2) for k, c in enumerate(result.coefficients))
+
+        monkeypatch.setattr(TruncatedSeries, "__pow__", half_off_at_two)
+        assert root_argument_failures(P3, 2, 4) == (
+            "P3, m=2: the root is not integral: q^2: 301/2",
+            "P3, m=2: the root is not the series: q^2: 301/2 vs 150",
+        )
+        assert root_argument_failures(P3, 1, 4) == ()
 
     def test_quintic_through_cobordism(self):
         # build the series from the generator powers of the decomposition
@@ -273,24 +301,36 @@ class TestClosedFormAgainstSeriesLog:
 
 class TestUniversality:
     def test_catalog_proportionality(self):
-        report = verify_universality(catalog(), 6)
-        assert report.ok
-        assert report.lambdas == {1: -1, 2: 5, 3: -20, 4: 126, 5: -624, 6: 6000}
+        assert universality_failures(catalog(), 6) == ()
+        assert discrepancy_degrees(K_ONE, 6) == {1: -1, 2: 5, 3: -20, 4: 126, 5: -624, 6: 6000}
 
     def test_degrees_scale_with_exponent(self):
-        report = verify_universality(catalog(), 4)
-        for label, k_x in report.exponents.items():
-            for k, t_k in report.degrees[label].items():
-                assert t_k == report.lambdas[k] * k_x
+        lambdas = discrepancy_degrees(K_ONE, 4)
+        for spec in catalog():
+            k_x = twist_exponent(spec.resolve())
+            assert series_log_degrees(spec, 4) == {k: lam * k_x for k, lam in lambdas.items()}
 
     def test_single_spec(self):
-        report = verify_universality([QUINTIC], 5)
-        assert report.ok
-        assert report.exponents == {"quintic": -200}
+        assert universality_failures([QUINTIC], 5) == ()
+        assert dt_series(QUINTIC, 5).exponent == -200
 
     @given(st.integers(min_value=-30, max_value=30))
     @settings(max_examples=25, deadline=None)
     def test_synthetic_calabi_yau_family(self, chi):
         spec = ThreefoldSpec.explicit(ChernNumbers(0, 0, chi))
-        report = verify_universality([spec], 4)
-        assert report.ok
+        assert universality_failures([spec], 4) == ()
+
+    def test_a_wrong_series_names_the_spec(self, monkeypatch):
+        # P3 given the quintic's series: each degree is ten times lambda_k * K(P3)
+        real_dt_series = degrees.dt_series
+
+        def quintic_series_for_p3(spec, order):
+            d = real_dt_series(spec, order)
+            return DTSeries(real_dt_series(QUINTIC, order).series, d.exponent) if spec == P3 else d
+
+        monkeypatch.setattr(degrees, "dt_series", quintic_series_for_p3)
+        assert universality_failures(catalog(), 3) == (
+            "P3: t_1 = 200 but lambda_1*K = 20",
+            "P3: t_2 = -1000 but lambda_2*K = -100",
+            "P3: t_3 = 4000 but lambda_3*K = 400",
+        )

@@ -33,9 +33,9 @@ from dtzero import (
     multiplicative_delta_property,
     parse_spec_document,
     partitions,
+    root_argument_failures,
     sigma2,
-    verify_root_argument,
-    verify_universality,
+    universality_failures,
 )
 from dtzero.verify import max_n_limit, run_suite
 
@@ -49,8 +49,8 @@ ROWS = [
     ("log_macmahon_neg_coeffs", log_macmahon_neg_coeffs, "order", 1),
     ("dt_series", lambda v: dt_series(P3, v), "order", 0),
     ("discrepancy_degrees", lambda v: discrepancy_degrees(P3, v), "n_max", 1),
-    ("verify_universality", lambda v: verify_universality([P3], v), "n_max", 1),
-    ("verify_root_argument", lambda v: verify_root_argument(P3, v, 2), "m", 1),
+    ("universality_failures", lambda v: universality_failures([P3], v), "n_max", 1),
+    ("root_argument_failures", lambda v: root_argument_failures(P3, v, 2), "m", 1),
     ("SetPartition.n", lambda v: SetPartition(v, ()), "n", 0),
     ("SetPartition.element", lambda v: SetPartition(2, ({1}, {v})), "element", None),
     ("partitions", partitions, "n", 0),
