@@ -33,7 +33,6 @@ _SUBMODULE_EXPORTS = {
         "SpecDocumentError",
         "ThreefoldSpec",
         "catalog",
-        "chern_disjoint_union",
         "chern_of_hypersurface",
         "chern_of_projective_space_product",
         "chern_scale",

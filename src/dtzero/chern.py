@@ -135,16 +135,12 @@ class ChernNumbers(_ChernFields):
         return tuple(notes)
 
     def __add__(self, other: "ChernNumbers") -> "ChernNumbers":
+        """The Chern numbers of a disjoint union: they add."""
         if not isinstance(other, ChernNumbers):
             _refuse_sequence_ops(self, other)
-        return chern_disjoint_union(self, other)
+        return ChernNumbers(self.c111 + other.c111, self.c12 + other.c12, self.c3 + other.c3)
 
     __radd__ = __mul__ = __rmul__ = _refuse_sequence_ops
-
-
-def chern_disjoint_union(a: ChernNumbers, b: ChernNumbers) -> ChernNumbers:
-    """Chern numbers add over disjoint unions."""
-    return ChernNumbers(a.c111 + b.c111, a.c12 + b.c12, a.c3 + b.c3)
 
 
 def chern_scale(factor: Rational, c: ChernNumbers) -> ChernNumbers:

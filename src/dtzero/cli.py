@@ -175,7 +175,7 @@ def _cmd_cobordism(args, parser) -> int:
         print(f"r3\t{dec.r3}")
         print(f"m\t{dec.m}")
         print(f"identity\t{'OK' if report.ok else 'FAIL'}\t{report.lhs}\t{report.rhs}")
-    return EXIT_OK
+    return EXIT_OK if report.ok else EXIT_FAILURE
 
 
 def _cmd_discrepancy(args, parser) -> int:
@@ -209,21 +209,13 @@ def _cmd_verify(args, parser) -> int:
     if args.max_n is not None and args.max_n > limit:
         parser.error(f"--max-n for suite {args.suite} must be at most {limit}")
     checks = run_suite(args.suite, args.max_n)
-    statuses = ["SKIP" if check.cases == 0 else "PASS" if check.ok else "FAIL" for check in checks]
     if args.format == "json":
-        _print_json({
-            "suite": args.suite,
-            "max_n": args.max_n,
-            "checks": [
-                {"name": check.name, "status": status, "cases": check.cases, "detail": check.detail}
-                for check, status in zip(checks, statuses)
-            ],
-        })
+        _print_json({"suite": args.suite, "max_n": args.max_n, "checks": [check._asdict() for check in checks]})
     else:
-        for check, status in zip(checks, statuses):
-            detail = f": {check.detail}" if status == "FAIL" and check.detail else ""
-            print(f"{status}\t{check.name}{detail}")
-    return EXIT_FAILURE if "FAIL" in statuses else EXIT_OK
+        for check in checks:
+            detail = f": {check.detail}" if check.status == "FAIL" and check.detail else ""
+            print(f"{check.status}\t{check.name}{detail}")
+    return EXIT_FAILURE if any(check.status == "FAIL" for check in checks) else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,14 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--spec-file", help="path to a JSON spec document")
 
     p_series = sub.add_parser("series", parents=[spec], help="print exponent, cobordism data and series coefficients")
-    p_series.add_argument("--order", type=int, default=DEFAULT_ORDER, help=f"truncation order (default 20, at most {MAX_ORDER})")
+    p_series.add_argument("--order", type=int, default=DEFAULT_ORDER, help=f"truncation order (default %(default)s, at most {MAX_ORDER})")
     p_series.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
     p_cob = sub.add_parser("cobordism", parents=[spec], help="decompose over the three generators")
     p_cob.add_argument("--format", choices=("tsv", "json"), default="json")
 
     p_disc = sub.add_parser("discrepancy", parents=[spec], help="per-size degrees t_k = K * lambda_k, in closed form")
-    p_disc.add_argument("--max-n", type=int, default=7, help=f"largest block size (default 7, at most {MAX_ORDER})")
+    p_disc.add_argument("--max-n", type=int, default=7, help=f"largest block size (default %(default)s, at most {MAX_ORDER})")
     p_disc.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
     p_verify = sub.add_parser("verify", help="run a self-check suite")

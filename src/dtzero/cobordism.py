@@ -40,13 +40,12 @@ def generator_determinant() -> int:
 
 
 class CobordismDecomposition(NamedTuple):
-    """Rational coefficients (r1, r2, r3) over the generators, with m the
-    least common denominator, so that m*X ~ m1*Y1 + m2*Y2 + m3*Y3."""
+    """Rational coefficients (r1, r2, r3) over the generators; with m their
+    least common denominator, m*X ~ m1*Y1 + m2*Y2 + m3*Y3."""
 
     r1: Fraction
     r2: Fraction
     r3: Fraction
-    m: int
 
     __add__ = __radd__ = __mul__ = __rmul__ = _refuse_sequence_ops
 
@@ -54,15 +53,14 @@ class CobordismDecomposition(NamedTuple):
     def coefficients(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.r1, self.r2, self.r3)
 
+    @property
+    def m(self) -> int:
+        return lcm(*(Fraction(r).denominator for r in self.coefficients))
+
     def integer_multiples(self) -> tuple[int, int, int]:
         """(m1, m2, m3) = m * (r1, r2, r3), always integers."""
-        out = []
-        for r in self.coefficients:
-            v = Fraction(r) * self.m
-            if v.denominator != 1:
-                raise ArithmeticError("m is not a common denominator")
-            out.append(int(v))
-        return tuple(out)
+        m = self.m
+        return tuple(int(Fraction(r) * m) for r in self.coefficients)
 
     def reconstruct(self) -> ChernNumbers:
         """Chern numbers of r1*Y1 + r2*Y2 + r3*Y3."""
@@ -80,8 +78,7 @@ def decompose(c: ChernNumbers) -> CobordismDecomposition:
     solution = [
         Fraction(_det3([row[:j] + (v,) + row[j + 1:] for row, v in zip(matrix, c)]), det) for j in range(3)
     ]
-    m = lcm(*(r.denominator for r in solution))
-    return CobordismDecomposition(*solution, m=m)
+    return CobordismDecomposition(*solution)
 
 
 class ExponentIdentityReport(NamedTuple):
@@ -90,9 +87,12 @@ class ExponentIdentityReport(NamedTuple):
     decomposition: CobordismDecomposition
     lhs: Fraction
     rhs: Fraction
-    ok: bool
 
     __add__ = __radd__ = __mul__ = __rmul__ = _refuse_sequence_ops
+
+    @property
+    def ok(self) -> bool:
+        return self.lhs == self.rhs
 
 
 def verify_exponent_identity(c: ChernNumbers) -> ExponentIdentityReport:
@@ -102,8 +102,6 @@ def verify_exponent_identity(c: ChernNumbers) -> ExponentIdentityReport:
     linearity of the twist exponent through the generator basis.
     """
     dec = decompose(c)
-    m1, m2, m3 = dec.integer_multiples()
-    gens = generator_chern_numbers()
     lhs = dec.m * Fraction(twist_exponent(c))
-    rhs = sum(mi * Fraction(twist_exponent(g)) for mi, g in zip((m1, m2, m3), gens))
-    return ExponentIdentityReport(dec, lhs, rhs, lhs == rhs)
+    rhs = sum(mi * Fraction(twist_exponent(g)) for mi, g in zip(dec.integer_multiples(), generator_chern_numbers()))
+    return ExponentIdentityReport(dec, lhs, rhs)

@@ -44,7 +44,8 @@ class DTSeries(_DTSeriesFields):
     __add__ = __radd__ = __mul__ = __rmul__ = _refuse_sequence_ops
 
     def coefficients(self) -> tuple[int, ...]:
-        return self.series.integer_coefficients()
+        """The coefficients as ints: the constructor checked they are integers."""
+        return tuple(c.numerator for c in self.series.coefficients)
 
 
 @lru_cache(maxsize=None)

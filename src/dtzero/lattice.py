@@ -381,7 +381,6 @@ def strict_diagonal_distance_sq(p: SetPartition, x: PointConfig) -> Fraction:
 
 
 class _EpsilonScheduleFields(NamedTuple):
-    n: int
     c_sq: Fraction
     ratio_sq: Fraction
 
@@ -389,8 +388,9 @@ class _EpsilonScheduleFields(NamedTuple):
 class EpsilonSchedule(_EpsilonScheduleFields):
     """Geometrically decreasing diagonal-neighborhood radii.
 
-    Stores squared values only.  eps_sq(p) = c^2 * ratio^(2*(rank(p) - n)),
-    so every radius is strictly below c and consecutive ranks are separated
+    Stores squared values only.  eps_sq(p) = c^2 / ratio^(2*|blocks of p|),
+    so every radius is strictly below c, the radius depends on the partition
+    only through its number of blocks, and consecutive ranks are separated
     by the factor `ratio`.  The classifier is guaranteed a unique answer
     only when c is small against the configuration's point gaps; the
     default constructor ties c to 1/8 of the minimum gap.
@@ -398,14 +398,13 @@ class EpsilonSchedule(_EpsilonScheduleFields):
 
     __slots__ = ()
 
-    def __new__(cls, n: int, c_sq: Rational, ratio_sq: Rational):
-        _int(n, "n", 0)
+    def __new__(cls, c_sq: Rational, ratio_sq: Rational):
         c_sq, ratio_sq = _exact(c_sq), _exact(ratio_sq)
         if c_sq <= 0:
             raise ValueError("the bound c must be positive")
         if ratio_sq <= 1:
             raise ValueError("the ratio R must exceed 1")
-        return super().__new__(cls, n, c_sq, ratio_sq)
+        return super().__new__(cls, c_sq, ratio_sq)
 
     _make = _make
     __add__ = __radd__ = __mul__ = __rmul__ = _refuse_sequence_ops
@@ -415,12 +414,10 @@ class EpsilonSchedule(_EpsilonScheduleFields):
         """Schedule with c = (minimum pairwise gap)/8 and ratio 16."""
         gap_sq = x.min_gap_sq()
         c_sq = Fraction(1) if gap_sq is None else gap_sq / 64
-        return cls(n=x.n, c_sq=c_sq, ratio_sq=256)
+        return cls(c_sq=c_sq, ratio_sq=256)
 
     def eps_sq(self, p: SetPartition) -> Fraction:
-        if p.n != self.n:
-            raise ValueError("schedule and partition ground sets differ")
-        return self.c_sq * self.ratio_sq ** (p.rank - self.n)
+        return self.c_sq / self.ratio_sq ** len(p.blocks)
 
 
 def classify_q_set(alpha: SetPartition, x: PointConfig, eps: EpsilonSchedule) -> SetPartition:
@@ -430,12 +427,10 @@ def classify_q_set(alpha: SetPartition, x: PointConfig, eps: EpsilonSchedule) ->
     whose diagonal neighborhood contains x (the bottom partition always
     qualifies); the answer is the unique maximal candidate.  Each block's
     squared deviation is computed once per call and each radius once per
-    rank.  Several maximal candidates mean the schedule is too loose for
-    this configuration, which is an error, not a choice.
+    block count.  Several maximal candidates mean the schedule is too loose
+    for this configuration, which is an error, not a choice.
     """
     _check_config(alpha, x)
-    if eps.n != alpha.n:
-        raise ValueError("schedule and partition ground sets differ")
     ps = partitions(alpha.n)
     index, down = _down_sets(alpha.n)
     a = index[alpha.labels()]
@@ -444,9 +439,10 @@ def classify_q_set(alpha: SetPartition, x: PointConfig, eps: EpsilonSchedule) ->
     candidates = []
     for i in down[a] + (a,):
         gamma = ps[i]
-        if gamma.rank not in radii:
-            radii[gamma.rank] = eps.eps_sq(gamma)
-        if _diagonal_distance_sq(gamma, x, deviations) < radii[gamma.rank]:
+        count = len(gamma.blocks)
+        if count not in radii:
+            radii[count] = eps.eps_sq(gamma)
+        if _diagonal_distance_sq(gamma, x, deviations) < radii[count]:
             candidates.append(i)
     covered = {j for i in candidates for j in down[i]}
     maximal = sorted(i for i in candidates if i not in covered)

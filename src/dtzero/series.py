@@ -59,11 +59,6 @@ class TruncatedSeries:
         """True when every coefficient is an integer."""
         return all(c.denominator == 1 for c in self._coeffs)
 
-    def integer_coefficients(self) -> tuple[int, ...]:
-        if not self.is_integral():
-            raise ValueError("series has non-integer coefficients")
-        return tuple(int(c) for c in self._coeffs)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented

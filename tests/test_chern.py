@@ -7,7 +7,6 @@ from dtzero import (
     ChernNumbers,
     ThreefoldSpec,
     catalog,
-    chern_disjoint_union,
     chern_of_hypersurface,
     chern_of_projective_space_product,
     chern_scale,
@@ -40,7 +39,7 @@ class TestSplittingEngine:
     @given(chern_triples(), chern_triples())
     @settings(max_examples=100, deadline=None)
     def test_linearity(self, a, b):
-        assert twist_exponent(chern_disjoint_union(a, b)) == twist_exponent(a) + twist_exponent(b)
+        assert twist_exponent(a + b) == twist_exponent(a) + twist_exponent(b)
 
 
 class TestProjectiveProducts:
@@ -101,13 +100,13 @@ class TestHypersurfaces:
 
 class TestChernNumbers:
     def test_disjoint_union_adds(self):
-        assert chern_disjoint_union(P3, P2xP1) == ChernNumbers(118, 48, 10)
+        assert P3 + P2xP1 == ChernNumbers(118, 48, 10)
 
     def test_empty_union_is_identity(self):
-        assert chern_disjoint_union(P3, ChernNumbers(0, 0, 0)) == P3
+        assert P3 + ChernNumbers(0, 0, 0) == P3
 
     def test_twist_additive_over_union(self):
-        union = chern_disjoint_union(P3, P1CUBED)
+        union = P3 + P1CUBED
         assert twist_exponent(union) == twist_exponent(P3) + twist_exponent(P1CUBED)
 
     def test_scaling(self):

@@ -416,6 +416,18 @@ class TestCobordismCommand:
         assert json.loads(out)["decomposition"]["r1"] == 1000
         assert len(built) < 20
 
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    def test_failed_identity_exits_one_after_printing(self, capsys, monkeypatch, fmt):
+        real = dtzero.cli.verify_exponent_identity
+        monkeypatch.setattr(dtzero.cli, "verify_exponent_identity",
+                            lambda c: real(c)._replace(rhs=real(c).rhs + 1))
+        code, out, _ = run(capsys, "cobordism", "--builtin", "P3", "--format", fmt)
+        assert code == 1
+        if fmt == "tsv":
+            assert out.splitlines()[-1] == "identity\tFAIL\t-20\t-19"
+        else:
+            assert json.loads(out)["exponent_identity"] == {"lhs": -20, "rhs": -19, "ok": False}
+
 
 class TestDiscrepancyCommand:
     def test_p3_table(self, capsys):
@@ -471,6 +483,24 @@ class TestVerifyCommand:
         results = dict(line.split("\t")[::-1] for line in out.splitlines())
         assert {name for name, status in results.items() if status == "SKIP"} == skipped
         assert all(status in ("PASS", "SKIP") for status in results.values())
+
+    def test_run_suite_skips_exactly_the_empty_checks(self):
+        # verify decides SKIP itself: a library caller never sees a zero-case PASS
+        skipped = set()
+        for suite in verify.SUITES:
+            checks = run_suite(suite, 0)
+            assert all(check.status in ("PASS", "FAIL", "SKIP") for check in checks)
+            assert {c.name for c in checks if c.status == "SKIP"} == {c.name for c in checks if c.cases == 0}
+            skipped |= {c.name for c in checks if c.status == "SKIP"}
+        assert skipped == {
+            "macmahon/log-closed-form", "cobordism/exponent-identity",
+            "lattice/meet-join-axioms", "lattice/fiber-multiplicity-sum", "lattice/moebius-top-value",
+            "lattice/delta-inverts-summation", "lattice/delta-multiplicativity",
+            "universality/proportional-degrees", "universality/exponential-reconstruction",
+        }
+
+    def test_a_zero_case_check_is_skipped_whatever_it_yields(self):
+        assert verify._check("x", 0, ["q^1: wrong"]) == verify.Check("x", "SKIP", 0)
 
     def test_check_case_counts(self):
         counts = {check.name: check.cases for check in run_suite("cobordism", 7)}

@@ -1,13 +1,14 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
 import dtzero.cobordism
 
 from dtzero import (
     ChernNumbers,
-    chern_disjoint_union,
     decompose,
     generator_chern_numbers,
     generator_determinant,
@@ -83,10 +84,21 @@ class TestDecompose:
     @settings(max_examples=80, deadline=None)
     def test_linearity(self, a, b):
         da, db = decompose(a), decompose(b)
-        dsum = decompose(chern_disjoint_union(a, b))
+        dsum = decompose(a + b)
         assert dsum.coefficients == tuple(
             x + y for x, y in zip(da.coefficients, db.coefficients)
         )
+
+
+    @given(chern_triples(bound=200), st.fractions(max_denominator=60), st.fractions(max_denominator=60))
+    @settings(max_examples=100, deadline=None)
+    def test_m_is_derived_from_the_coefficients(self, c, r1, r3):
+        # m follows the coefficients through _replace: it is the least common denominator
+        dec = decompose(c)._replace(r1=r1, r3=r3)
+        multiples = dec.integer_multiples()
+        assert all(type(v) is int for v in multiples)
+        assert all(dec.m * r == v for r, v in zip(dec.coefficients, multiples))
+        assert gcd(dec.m, *multiples) == 1
 
 
 class TestExponentIdentity:

@@ -40,6 +40,11 @@ class TestDtSeries:
         assert d.exponent == -20
         assert d.coefficients() == (1, 20, 150)
 
+    def test_coefficients_are_the_checked_integers(self):
+        d = DTSeries(TruncatedSeries([1, -3, 5]), 0)
+        assert d.coefficients() == (1, -3, 5)
+        assert all(type(c) is int for c in d.coefficients())
+
     def test_trivial_twist_gives_constant_series(self):
         spec = ThreefoldSpec.explicit(ChernNumbers(0, 0, 0))
         d = dt_series(spec, 5)

@@ -318,7 +318,7 @@ class TestDiagonalDistance:
 
 class TestEpsilonSchedule:
     def test_radii_below_bound_and_ratio(self):
-        sched = EpsilonSchedule(n=4, c_sq=Fraction(1, 64), ratio_sq=Fraction(256))
+        sched = EpsilonSchedule(c_sq=Fraction(1, 64), ratio_sq=Fraction(256))
         for a in partitions(4):
             assert 0 < sched.eps_sq(a) < sched.c_sq
             for b in partitions(4):
@@ -336,9 +336,18 @@ class TestEpsilonSchedule:
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            EpsilonSchedule(n=2, c_sq=0, ratio_sq=4)
+            EpsilonSchedule(c_sq=0, ratio_sq=4)
         with pytest.raises(ValueError):
-            EpsilonSchedule(n=2, c_sq=1, ratio_sq=1)
+            EpsilonSchedule(c_sq=1, ratio_sq=1)
+
+    def test_radius_by_block_count_is_radius_by_rank(self):
+        # the radius by rank, c^2 * R^(2*(rank - n)), is the oracle: rank - n = -|blocks|
+        hand_built = [EpsilonSchedule(Fraction(1, 64), 256), EpsilonSchedule(Fraction(5, 3), Fraction(9, 4))]
+        for n in range(7):
+            spread, clustered = config(*range(0, 3 * n, 3)), config(*(k // 2 for k in range(n)))
+            for sched in [EpsilonSchedule.default_for(spread), EpsilonSchedule.default_for(clustered), *hand_built]:
+                for p in partitions(n):
+                    assert sched.eps_sq(p) == sched.c_sq * sched.ratio_sq ** (p.rank - p.n)
 
 
 class TestClassify:
@@ -354,7 +363,7 @@ class TestClassify:
 
     def test_near_pair_with_wide_schedule(self):
         # delta = 1/1024 below the pair radius 1/256; the third point far away
-        sched = EpsilonSchedule(n=3, c_sq=Fraction(1), ratio_sq=Fraction(256))
+        sched = EpsilonSchedule(c_sq=Fraction(1), ratio_sq=Fraction(256))
         x = config(0, Fraction(1, 1024), 100)
         assert classify_q_set(SetPartition.whole(3), x, sched) == P(3, {1, 2}, {3})
 
@@ -367,7 +376,7 @@ class TestClassify:
     def test_loose_schedule_is_rejected(self):
         # two incomparable near-diagonals within radius but their join out of
         # reach: no unique deepest candidate
-        sched = EpsilonSchedule(n=3, c_sq=Fraction(1), ratio_sq=Fraction(9, 4))
+        sched = EpsilonSchedule(c_sq=Fraction(1), ratio_sq=Fraction(9, 4))
         x = config(0, Fraction(1, 2), 1)
         with pytest.raises(InadmissibleScheduleError, match="inadmissible"):
             classify_q_set(SetPartition.whole(3), x, sched)
@@ -395,7 +404,7 @@ class TestClassify:
         x, ratio, shrink = case
         gap_sq = x.min_gap_sq()
         c_sq = (gap_sq if gap_sq is not None else Fraction(1)) / (64 * shrink)
-        sched = EpsilonSchedule(n=x.n, c_sq=c_sq, ratio_sq=Fraction(ratio) ** 2)
+        sched = EpsilonSchedule(c_sq=c_sq, ratio_sq=Fraction(ratio) ** 2)
         top = SetPartition.whole(x.n)
         beta = classify_q_set(top, x, sched)
         for gamma in partitions(x.n):

@@ -243,7 +243,7 @@ def configs_with_schedules(draw):
     # loose schedules too, so that the inadmissible branch is exercised
     c_sq = draw(st.sampled_from([Fraction(1), Fraction(1, 64), Fraction(4)]))
     ratio_sq = draw(st.sampled_from([Fraction(9, 4), Fraction(4), Fraction(256)]))
-    return x, EpsilonSchedule(n=n, c_sq=c_sq, ratio_sq=ratio_sq)
+    return x, EpsilonSchedule(c_sq=c_sq, ratio_sq=ratio_sq)
 
 
 def agree_on_every_alpha(x, eps):
@@ -271,8 +271,8 @@ class TestClassifyOracle:
         # under a schedule loose enough that some answers are not unique
         sites = [(Fraction(k, 2), 0, 0) for k in range(3)]
         rejected = 0
+        eps = EpsilonSchedule(c_sq=Fraction(1), ratio_sq=Fraction(9, 4))
         for n in range(1, 5):
-            eps = EpsilonSchedule(n=n, c_sq=Fraction(1), ratio_sq=Fraction(9, 4))
             for x in map(PointConfig, product(sites, repeat=n)):
                 rejected += agree_on_every_alpha(x, eps)
         assert rejected > 0

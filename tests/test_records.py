@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from dtzero.chern import ChernNumbers, ThreefoldSpec
-from dtzero.cobordism import CobordismDecomposition, decompose
+from dtzero.cobordism import CobordismDecomposition, ExponentIdentityReport, decompose
 from dtzero.dt import DTSeries, dt_series
 from dtzero.lattice import EpsilonSchedule, PointConfig
 from dtzero.plane_partitions import PlanePartition
@@ -32,8 +32,8 @@ def examples():
         (decompose(ChernNumbers(64, 24, 4)), decompose(ChernNumbers(64, 24, 4)), decompose(ChernNumbers(0, 0, -200))),
         (PlanePartition(((2, 1), (1,))), PlanePartition([[2, 1], [1]]), PlanePartition(((1,),))),
         (PointConfig([(0, 1, 0)]), PointConfig(points=((Fraction(0), 1, Fraction(0, 2)),)), PointConfig([(1, 1, 0)])),
-        (EpsilonSchedule(2, 1, 4), EpsilonSchedule(n=2, c_sq=Fraction(2, 2), ratio_sq=4), EpsilonSchedule(2, 1, 9)),
-        (Check("lattice/bell-counts", True, 6), Check("lattice/bell-counts", True, 6, ""), Check("x", False, 1, "q^1")),
+        (EpsilonSchedule(1, 4), EpsilonSchedule(c_sq=Fraction(2, 2), ratio_sq=4), EpsilonSchedule(1, 9)),
+        (Check("lattice/bell-counts", "PASS", 6), Check("lattice/bell-counts", "PASS", 6, ""), Check("x", "FAIL", 1, "q^1")),
     ]
 
 
@@ -44,12 +44,12 @@ def test_repr_text():
     assert repr(P3) == spec_text
     assert repr(dt_series(P3, 1)) == "DTSeries(series=TruncatedSeries([1, 20]), exponent=-20)"
     assert repr(decompose(ChernNumbers(64, 24, 4))) == (
-        "CobordismDecomposition(r1=Fraction(1, 1), r2=Fraction(0, 1), r3=Fraction(0, 1), m=1)"
+        "CobordismDecomposition(r1=Fraction(1, 1), r2=Fraction(0, 1), r3=Fraction(0, 1))"
     )
     assert repr(PlanePartition([[2, 1], [1]])) == "PlanePartition(rows=((2, 1), (1,)))"
     assert repr(PointConfig([(0, 1, 0)])) == "PointConfig(points=((Fraction(0, 1), Fraction(1, 1), Fraction(0, 1)),))"
-    assert repr(EpsilonSchedule(2, 1, 4)) == "EpsilonSchedule(n=2, c_sq=Fraction(1, 1), ratio_sq=Fraction(4, 1))"
-    assert repr(Check("x", True, 1)) == "Check(name='x', ok=True, cases=1, detail='')"
+    assert repr(EpsilonSchedule(1, 4)) == "EpsilonSchedule(c_sq=Fraction(1, 1), ratio_sq=Fraction(4, 1))"
+    assert repr(Check("x", "PASS", 1)) == "Check(name='x', status='PASS', cases=1, detail='')"
 
 
 @pytest.mark.parametrize("value", [group[0] for group in examples()], ids=lambda v: type(v).__name__)
@@ -123,27 +123,23 @@ def test_replace_validates_like_the_constructor():
     assert PointConfig([(0, 0, 0)])._replace(points=[(1, 2, 3)]) == PointConfig([(1, 2, 3)])
     with pytest.raises(ValueError, match="exactly three coordinates"):
         PointConfig([(0, 0, 0)])._replace(points=[(1, 2)])
-    schedule = EpsilonSchedule(2, 1, 4)
+    schedule = EpsilonSchedule(1, 4)
     assert type(schedule._replace(c_sq=2).c_sq) is Fraction
     with pytest.raises(ValueError, match="the bound c must be positive"):
         schedule._replace(c_sq=0)
     with pytest.raises(ValueError, match="the ratio R must exceed 1"):
         schedule._replace(ratio_sq=1)
-    with pytest.raises(ValueError, match="n must be a non-negative integer"):
-        schedule._replace(n=-1)
-    assert Check("x", True, 1)._replace(ok=False, detail="q^1") == Check("x", False, 1, "q^1")
+    assert Check("x", "PASS", 1)._replace(status="FAIL", detail="q^1") == Check("x", "FAIL", 1, "q^1")
 
 
 def test_schedule_checks_fire_in_order():
-    # n, then c_sq, then ratio_sq are each checked for type before either bound
-    with pytest.raises(ValueError, match="n must be a non-negative integer"):
-        EpsilonSchedule(True, 2.5, 0)
+    # c_sq, then ratio_sq are each checked for type before either bound
     with pytest.raises(TypeError, match="got 2.5"):
-        EpsilonSchedule(2, 2.5, 0)
+        EpsilonSchedule(2.5, 0)
     with pytest.raises(TypeError, match="got 0.5"):
-        EpsilonSchedule(2, 0, 0.5)
+        EpsilonSchedule(0, 0.5)
     with pytest.raises(ValueError, match="the bound c must be positive"):
-        EpsilonSchedule(2, 0, 0)
+        EpsilonSchedule(0, 0)
 
 
 def test_records_are_tuples_of_their_fields():
@@ -151,5 +147,13 @@ def test_records_are_tuples_of_their_fields():
     c111, c12, c3 = ChernNumbers(64, 24, 4)
     assert (c111, c12, c3) == (64, 24, 4)
     assert ChernNumbers(64, 24, 4) == (64, 24, 4)
-    assert decompose(ChernNumbers(0, 0, -200)) == (-150, 400, -250, 1)
-    assert isinstance(CobordismDecomposition(1, 0, 0, 1), tuple)
+    assert decompose(ChernNumbers(0, 0, -200)) == (-150, 400, -250)
+    assert isinstance(CobordismDecomposition(1, 0, 0), tuple)
+
+
+def test_derived_facts_are_not_fields():
+    # each fact is stored once: what the other fields fix is a property
+    assert EpsilonSchedule._fields == ("c_sq", "ratio_sq")
+    assert CobordismDecomposition._fields == ("r1", "r2", "r3")
+    assert ExponentIdentityReport._fields == ("decomposition", "lhs", "rhs")
+    assert Check._fields == ("name", "status", "cases", "detail")

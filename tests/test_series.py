@@ -249,13 +249,9 @@ class TestRoot:
 class TestIntegrality:
     def test_integral(self):
         assert S(1, -3, 5).is_integral()
-        assert S(1, -3, 5).integer_coefficients() == (1, -3, 5)
 
     def test_not_integral(self):
-        s = S(1, Fraction(1, 2))
-        assert not s.is_integral()
-        with pytest.raises(ValueError):
-            s.integer_coefficients()
+        assert not S(1, Fraction(1, 2)).is_integral()
 
     def test_negate_q_is_involution(self):
         s = S(1, 2, 3, 4)

@@ -57,7 +57,6 @@ ROWS = [
     ("SetPartition.singletons", SetPartition.singletons, "n", 0),
     ("SetPartition.whole", SetPartition.whole, "n", 0),
     ("multiplicative_delta_property", lambda v: multiplicative_delta_property({1: 1, 2: 1}, v), "n", 1),
-    ("EpsilonSchedule.n", lambda v: EpsilonSchedule(n=v, c_sq=1, ratio_sq=4), "n", 0),
     ("count_plane_partitions", count_plane_partitions, "n", 0),
     ("iter_plane_partitions", lambda v: list(iter_plane_partitions(v)), "n", 0),
     ("PlanePartition", lambda v: PlanePartition([[v]]), "height", 1),
@@ -174,8 +173,8 @@ RATIONAL_ROWS = [
     ("chern_scale", lambda v: chern_scale(v, ChernNumbers(64, 24, 4))),
     ("ThreefoldSpec.scaled", lambda v: ThreefoldSpec.scaled(v, P3)),
     ("PointConfig", lambda v: PointConfig([(0, v, 0)])),
-    ("EpsilonSchedule.c_sq", lambda v: EpsilonSchedule(n=1, c_sq=v, ratio_sq=4)),
-    ("EpsilonSchedule.ratio_sq", lambda v: EpsilonSchedule(n=1, c_sq=1, ratio_sq=v)),
+    ("EpsilonSchedule.c_sq", lambda v: EpsilonSchedule(c_sq=v, ratio_sq=4)),
+    ("EpsilonSchedule.ratio_sq", lambda v: EpsilonSchedule(c_sq=1, ratio_sq=v)),
     ("TruncatedSeries", lambda v: TruncatedSeries([1, v])),
 ]
 RATIONAL_IDS = [row[0] for row in RATIONAL_ROWS]
