@@ -27,6 +27,12 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--grid", type=int, default=2, help="coordinates are k/2 for k in 0..grid")
     args = parser.parse_args()
+    if args.n < 1:
+        parser.error("--n must be at least 1")
+    if args.samples < 1:
+        parser.error("--samples must be at least 1")
+    if args.grid < 0:
+        parser.error("--grid must be non-negative")
 
     rng = random.Random(args.seed)
     top = SetPartition.whole(args.n)

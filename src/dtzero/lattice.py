@@ -251,12 +251,27 @@ class PointConfig(_PointConfigFields):
 
     def min_gap_sq(self) -> Fraction | None:
         """Smallest squared distance between distinct points; None if all coincide."""
-        gaps = (_dist_sq(p, q) for p, q in combinations(self.points, 2))
+        gaps = _pair_gaps_sq(self, [range(1, self.n + 1)]).values()
         return min((d for d in gaps if d != 0), default=None)
 
 
 def _dist_sq(p, q) -> Fraction:
-    return sum((a - b) ** 2 for a, b in zip(p, q))
+    total = 0
+    for a, b in zip(p, q):
+        d = a - b
+        total += d * d
+    return total
+
+
+def _pair_gaps_sq(x: PointConfig, blocks: Iterable[Iterable[int]]) -> dict[tuple[int, int], Fraction]:
+    """The squared distance between each pair of points that share one of
+    `blocks`, keyed by their labels (i, j) with i < j."""
+    pts = x.points
+    return {
+        (i, j): _dist_sq(pts[i - 1], pts[j - 1])
+        for b in blocks
+        for i, j in combinations(sorted(b), 2)
+    }
 
 
 def _check_config(p: SetPartition, x: PointConfig) -> None:
@@ -343,23 +358,20 @@ def in_discrepancy_set(a: SetPartition, b: SetPartition, x: PointConfig) -> bool
     )
 
 
-def _block_deviation_sq(block: frozenset[int], x: PointConfig) -> Fraction:
-    """Sum of squared deviations of a block's points from their mean."""
-    size = len(block)
-    if size == 1:
-        return Fraction(0)
-    mean = tuple(
-        sum((x.point(e)[axis] for e in block), Fraction(0)) / size for axis in range(3)
-    )
-    return sum((_dist_sq(x.point(e), mean) for e in block), Fraction(0))
+def _block_deviation_sq(block: frozenset[int], gaps: Mapping[tuple[int, int], Fraction]) -> Fraction:
+    """Sum of squared deviations of a block's points from their mean, read
+    from the pair gaps by Lagrange's identity
+    sum_{e in b} |x_e - mean_b|^2 = (1/|b|) sum_{i<j in b} |x_i - x_j|^2."""
+    return sum((gaps[pair] for pair in combinations(sorted(block), 2)), Fraction(0)) / len(block)
 
 
-def _diagonal_distance_sq(p: SetPartition, x: PointConfig, memo: dict) -> Fraction:
-    """strict_diagonal_distance_sq with per-block values kept in `memo`."""
+def _diagonal_distance_sq(p: SetPartition, gaps: Mapping, memo: dict) -> Fraction:
+    """strict_diagonal_distance_sq from the pair gaps, with per-block values
+    kept in `memo`."""
     total = Fraction(0)
     for b in p.blocks:
         if b not in memo:
-            memo[b] = _block_deviation_sq(b, x)
+            memo[b] = _block_deviation_sq(b, gaps)
         total += memo[b]
     return total
 
@@ -368,11 +380,14 @@ def strict_diagonal_distance_sq(p: SetPartition, x: PointConfig) -> Fraction:
     """Squared Euclidean distance from x to the strict diagonal of p.
 
     The orthogonal projection replaces each block's points by their mean,
-    so the squared distance is the sum of squared deviations from the
-    blockwise means.  Exact, and square-root free.
+    so the squared distance is the sum over blocks b of the squared
+    deviations from the block mean.  By Lagrange's identity that is
+    sum_b (1/|b|) sum_{i<j in b} |x_i - x_j|^2, which is how it is
+    computed: from the squared pair gaps, with no block means.  Exact, and
+    square-root free.
     """
     _check_config(p, x)
-    return _diagonal_distance_sq(p, x, {})
+    return _diagonal_distance_sq(p, _pair_gaps_sq(x, p.blocks), {})
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +440,11 @@ def classify_q_set(alpha: SetPartition, x: PointConfig, eps: EpsilonSchedule) ->
 
     Candidates are the gamma in [0, alpha], read from the down-set table,
     whose diagonal neighborhood contains x (the bottom partition always
-    qualifies); the answer is the unique maximal candidate.  Each block's
-    squared deviation is computed once per call and each radius once per
+    qualifies); the answer is the unique maximal candidate.  The squared
+    gaps |x_i - x_j|^2 of the pairs inside alpha's blocks are computed once
+    per call.  Each block's squared deviation from its mean is, by
+    Lagrange's identity, (1/|b|) sum_{i<j in b} |x_i - x_j|^2: it is summed
+    from those gaps once per call, and each radius is computed once per
     block count.  Several maximal candidates mean the schedule is too loose
     for this configuration, which is an error, not a choice.
     """
@@ -434,6 +452,7 @@ def classify_q_set(alpha: SetPartition, x: PointConfig, eps: EpsilonSchedule) ->
     ps = partitions(alpha.n)
     index, down = _down_sets(alpha.n)
     a = index[alpha.labels()]
+    gaps = _pair_gaps_sq(x, alpha.blocks)  # every gamma <= alpha pairs only these
     deviations: dict[frozenset[int], Fraction] = {}
     radii: dict[int, Fraction] = {}
     candidates = []
@@ -442,7 +461,7 @@ def classify_q_set(alpha: SetPartition, x: PointConfig, eps: EpsilonSchedule) ->
         count = len(gamma.blocks)
         if count not in radii:
             radii[count] = eps.eps_sq(gamma)
-        if _diagonal_distance_sq(gamma, x, deviations) < radii[count]:
+        if _diagonal_distance_sq(gamma, gaps, deviations) < radii[count]:
             candidates.append(i)
     covered = {j for i in candidates for j in down[i]}
     maximal = sorted(i for i in candidates if i not in covered)

@@ -5,8 +5,9 @@ The oracles are the straightforward forms: order, meet, join and labels
 computed from `.blocks` with frozenset operations alone; scan every
 partition of {1..n} with `<=`, run the quadratic discrepancy recursion over
 the scanned interval, and classify by computing the diagonal distance of
-every partition.  They are slow on purpose and share no code path with the
-table-driven library functions beyond SetPartition itself.
+every partition from block means, where the library sums pair gaps.  They
+are slow on purpose and share no code path with the table-driven library
+functions beyond SetPartition itself.
 """
 
 from fractions import Fraction
@@ -89,26 +90,23 @@ def oracle_delta_transform(alpha, fetch):
     return delta
 
 
+def oracle_distance_sq(p, x):
+    """Squared distance to the strict diagonal by projection: every point
+    moved to its block's mean, the squared moves summed, with no pair gaps."""
+    total = Fraction(0)
+    for b in p.blocks:
+        points = [x.point(e) for e in b]
+        mean = [sum(axis, Fraction(0)) / len(points) for axis in zip(*points)]
+        total += sum((u - m) ** 2 for point in points for u, m in zip(point, mean))
+    return total
+
+
 def oracle_classify(alpha, x, eps):
     """The maximal partitions below alpha whose neighborhood holds x."""
     candidates = [
-        g for g in oracle_interval(alpha)
-        if strict_diagonal_distance_sq(g, x) < eps.eps_sq(g)
+        g for g in oracle_interval(alpha) if oracle_distance_sq(g, x) < eps.eps_sq(g)
     ]
     return [g for g in candidates if not any(g < h for h in candidates)]
-
-
-def oracle_distance_sq(p, x):
-    """Squared distance to the strict diagonal by the pairwise identity
-    sum_b sum_{i<j in b} |x_i - x_j|^2 / |b|, with no block means."""
-    total = Fraction(0)
-    for b in p.blocks:
-        pairs = sum(
-            sum((u - v) ** 2 for u, v in zip(x.point(i), x.point(j)))
-            for i, j in combinations(sorted(b), 2)
-        )
-        total += Fraction(pairs, len(b))
-    return total
 
 
 def int_values(n):
@@ -235,8 +233,8 @@ def clustered_configs(draw, n):
 
 
 @st.composite
-def configs_with_schedules(draw):
-    n = draw(st.integers(min_value=1, max_value=5))
+def configs_with_schedules(draw, min_n=1, max_n=5):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     x = draw(clustered_configs(n))
     if draw(st.booleans()):
         return x, EpsilonSchedule.default_for(x)
@@ -246,18 +244,20 @@ def configs_with_schedules(draw):
     return x, EpsilonSchedule(c_sq=c_sq, ratio_sq=ratio_sq)
 
 
+def agree_below(alpha, x, eps):
+    """Compare with the oracle below alpha; True when the schedule is inadmissible."""
+    expected = oracle_classify(alpha, x, eps)
+    if len(expected) == 1:
+        assert classify_q_set(alpha, x, eps) == expected[0]
+        return False
+    with pytest.raises(InadmissibleScheduleError):
+        classify_q_set(alpha, x, eps)
+    return True
+
+
 def agree_on_every_alpha(x, eps):
     """Compare with the oracle below every alpha; count the inadmissible cases."""
-    rejected = 0
-    for alpha in partitions(x.n):
-        expected = oracle_classify(alpha, x, eps)
-        if len(expected) == 1:
-            assert classify_q_set(alpha, x, eps) == expected[0]
-        else:
-            rejected += 1
-            with pytest.raises(InadmissibleScheduleError):
-                classify_q_set(alpha, x, eps)
-    return rejected
+    return sum(agree_below(alpha, x, eps) for alpha in partitions(x.n))
 
 
 class TestClassifyOracle:
@@ -265,6 +265,13 @@ class TestClassifyOracle:
     @settings(max_examples=60, deadline=None)
     def test_every_alpha(self, case):
         agree_on_every_alpha(*case)
+
+    @given(configs_with_schedules(min_n=6, max_n=6))
+    @settings(max_examples=20, deadline=None)
+    def test_whole_six(self, case):
+        # the benchmark's size: the top of the lattice of {1..6}
+        x, eps = case
+        agree_below(SetPartition.whole(6), x, eps)
 
     def test_every_chain_config_loose_schedule(self):
         # every placement of up to four points on three evenly spaced sites,
@@ -277,8 +284,8 @@ class TestClassifyOracle:
                 rejected += agree_on_every_alpha(x, eps)
         assert rejected > 0
 
-    @given(st.integers(min_value=1, max_value=5).flatmap(clustered_configs))
+    @given(st.integers(min_value=1, max_value=6).flatmap(clustered_configs))
     @settings(max_examples=40, deadline=None)
-    def test_distance_matches_pairwise_identity(self, x):
+    def test_distance_matches_block_mean_oracle(self, x):
         for p in partitions(x.n):
             assert strict_diagonal_distance_sq(p, x) == oracle_distance_sq(p, x)

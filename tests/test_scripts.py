@@ -4,16 +4,22 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import dtzero
 
 SRC = os.path.dirname(os.path.dirname(dtzero.__file__))
 SCRIPTS = os.path.join(os.path.dirname(SRC), "scripts")
 
 
-def run_script(name, *argv):
+def run(name, *argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, os.path.join(SCRIPTS, name), *argv],
+    return subprocess.run([sys.executable, os.path.join(SCRIPTS, name), *argv],
                           env=env, capture_output=True, text=True, timeout=60)
+
+
+def run_script(name, *argv):
+    done = run(name, *argv)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
 
@@ -32,3 +38,21 @@ def test_qset_demo():
     assert lines[0] == "20 configurations of 3 points, seed 0"
     assert lines[1].startswith("all classifications unique; ")
     assert all(line.startswith("  rank ") for line in lines[2:]) and len(lines) > 2
+
+
+def test_qset_demo_grid_zero_puts_every_point_together():
+    lines = run_script("qset_demo.py", "--n", "3", "--samples", "2", "--grid", "0")
+    assert lines[2:] == ["  rank 2:     2 configurations"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--n", "0"), "--n must be at least 1"),
+    (("--n", "-1"), "--n must be at least 1"),
+    (("--samples", "0"), "--samples must be at least 1"),
+    (("--samples", "-1"), "--samples must be at least 1"),
+    (("--grid", "-1"), "--grid must be non-negative"),
+])
+def test_qset_demo_refuses_bad_sizes(argv, message):
+    done = run("qset_demo.py", *argv)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.splitlines()[-1].endswith(f"error: {message}")
