@@ -21,6 +21,10 @@ def main() -> None:
     parser.add_argument("--order", type=int, default=8, help="series truncation order")
     parser.add_argument("--max-k", type=int, default=6, help="largest degree size to extract")
     args = parser.parse_args()
+    if args.order < 0:
+        parser.error("--order must be non-negative")
+    if args.max_k < 1:
+        parser.error("--max-k must be at least 1")
 
     for spec in catalog():
         chern = spec.resolve()

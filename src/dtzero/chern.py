@@ -1,19 +1,19 @@
 """Chern-number calculus for threefolds.
 
 The three degree-six Chern monomials (c1^3, c1c2, c3) are computed
-symbolically, in one ring of truncated integer polynomials: the cohomology
-of a product of projective spaces and that of a hypersurface in P^4 are
-both truncated rings in hyperplane classes, and the tangent-twist exponent
-is expanded from Chern roots by the splitting principle.  Integration means
-reading off the coefficient of the top monomial, times its volume.
+symbolically, in one ring of integer polynomials: the cohomology of a
+product of projective spaces and that of a hypersurface in P^4 are both
+truncated rings in hyperplane classes, and the tangent-twist class
+c3(T tensor K) is the splitting principle's cubic in c1(K) = -c1 over
+Z[c1, c2, c3], evaluated by Horner's rule.  Integration means reading off
+the coefficient of the top monomial, times its volume.
 Threefold specs are parsed from JSON documents, resolved, labelled and
 written back through SPEC_KINDS, one entry per kind of spec.
 """
 
 import re
 from fractions import Fraction
-from functools import lru_cache, reduce
-from itertools import combinations
+from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ._values import Rational, _clip, _exact, _int, _json_number, _make, _refuse_sequence_ops, _show
@@ -32,7 +32,7 @@ def _tidy(value: Fraction):
 # coefficients.  A `caps` tuple drops every monomial in which generator j
 # exceeds caps[j], which models the truncated cohomology ring of a product
 # of projective spaces; without caps the ring is ordinary, which is what the
-# splitting-principle expansion uses.
+# twist class in Z[c1, c2, c3] uses.
 _Poly = dict[tuple[int, ...], int]
 
 
@@ -65,30 +65,6 @@ def _pow(p: _Poly, e: int, caps: tuple[int, ...] | None = None) -> _Poly:
     for _ in range(e - 1):
         result = _mul(result, p, caps)
     return result
-
-
-def _to_elementary(poly: _Poly, nvars: int) -> _Poly:
-    """Rewrite a symmetric polynomial in e_1..e_nvars, by the greedy leading-term
-    reduction.  Keys are exponent tuples of (e_1, ..., e_nvars)."""
-    es = [
-        {tuple(int(j in combo) for j in range(nvars)): 1 for combo in combinations(range(nvars), k)}
-        for k in range(1, nvars + 1)
-    ]
-    out: _Poly = {}
-    while poly:
-        mono = max(poly)
-        coeff = poly[mono]
-        if list(mono) != sorted(mono, reverse=True):
-            raise ValueError("polynomial is not symmetric")
-        # the leading monomial falls strictly at every step, so each exps comes once
-        exps = tuple(a - b for a, b in zip(mono, mono[1:] + (0,)))
-        out[exps] = coeff
-        product = {(0,) * nvars: coeff}
-        for e_poly, e_exp in zip(es, exps):
-            if e_exp:
-                product = _mul(product, _pow(e_poly, e_exp))
-        poly = _add(poly, product, -1)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +129,17 @@ def chern_scale(factor: Rational, c: ChernNumbers) -> ChernNumbers:
 def twist_class_monomials() -> tuple[tuple[tuple[int, int, int], int], ...]:
     """Degree-three Chern class of T tensor K, expanded symbolically.
 
-    With Chern roots a1, a2, a3 of the tangent bundle and c1(K) = -(a1+a2+a3),
-    the class is prod_i (a_i - c1).  The expansion is rewritten in elementary
-    symmetric polynomials; keys are exponent tuples of (c1, c2, c3).
+    For a rank-3 bundle T with Chern roots a_i and a line bundle with first
+    Chern class l, the splitting principle gives c3(T tensor L) =
+    prod_i (a_i + l) = l^3 + c1 l^2 + c2 l + c3; for L = K, l = -c1.  The
+    cubic is evaluated by Horner's rule; keys are exponent tuples of
+    (c1, c2, c3).
     """
-    roots = [{tuple(int(i == j) for j in range(3)): 1} for i in range(3)]
-    c1 = reduce(_add, roots)
-    product = reduce(_mul, (_add(a, c1, -1) for a in roots))
-    return tuple(sorted(_to_elementary(product, 3).items()))
+    c1_of_k = {(1, 0, 0): -1}
+    total = {(0, 0, 0): 1}
+    for c_k in ({(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1}):
+        total = _add(_mul(total, c1_of_k), c_k)
+    return tuple(sorted(total.items()))
 
 
 def twist_exponent(c: ChernNumbers) -> Rational:
@@ -169,13 +148,9 @@ def twist_exponent(c: ChernNumbers) -> Rational:
     Always computed through the symbolic expansion, never from a
     hard-coded formula.
     """
-    monomial_values = dict(zip([(3, 0, 0), (1, 1, 0), (0, 0, 1)], c))  # c1^3, c1c2, c3 by exponents of (c1, c2, c3)
-    total = Fraction(0)
-    for mono, coeff in twist_class_monomials():
-        if mono not in monomial_values:
-            raise ArithmeticError(f"unexpected Chern monomial {mono} in the twist expansion")
-        total += coeff * monomial_values[mono]
-    return _tidy(total)
+    # every monomial of weighted degree three is c1^3, c1c2 or c3
+    monomial_values = dict(zip([(3, 0, 0), (1, 1, 0), (0, 0, 1)], c))
+    return _tidy(sum((coeff * monomial_values[mono] for mono, coeff in twist_class_monomials()), Fraction(0)))
 
 
 def _chern_numbers(total: _Poly, caps: tuple[int, ...], volume: int) -> ChernNumbers:

@@ -52,6 +52,22 @@ MAX_CHERN_NUMBER = 10**12
 # ---------------------------------------------------------------------------
 
 
+def _int_in(least: int, most: int | None = None):
+    """An argparse `type` for an int from `least` to `most`, or from `least` up
+    when `most` is None.  The parser refuses a value past a bound with usage,
+    before the banner; text that is no int stays an "invalid int value"."""
+    def int_in(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}")
+        return value
+
+    int_in.__name__ = "int"  # argparse names a type's ValueError by its __name__
+    return int_in
+
+
 def _threefold(args, parser: argparse.ArgumentParser) -> tuple[ThreefoldSpec, ChernNumbers]:
     """The preamble shared by series, cobordism and discrepancy.  It returns the
     spec of the spec flags, parsed by parse_spec_document from the spec file or
@@ -129,10 +145,6 @@ def _decomposition_document(dec) -> dict:
 
 
 def _cmd_series(args, parser) -> int:
-    if args.order < 0:
-        parser.error("--order must be non-negative")
-    if args.order > MAX_ORDER:
-        parser.error(f"--order must be at most {MAX_ORDER}")
     spec, chern = _threefold(args, parser)
     result = dt_series(spec, args.order)
     dec = decompose(chern)
@@ -181,10 +193,6 @@ def _cmd_cobordism(args, parser) -> int:
 def _cmd_discrepancy(args, parser) -> int:
     from .degrees import discrepancy_degrees  # the series path never needs it
 
-    if args.max_n < 1:
-        parser.error("--max-n must be at least 1")
-    if args.max_n > MAX_ORDER:
-        parser.error(f"--max-n must be at most {MAX_ORDER}")
     spec, chern = _threefold(args, parser)
     degrees = discrepancy_degrees(spec, args.max_n)
     if args.format == "json":
@@ -203,8 +211,6 @@ def _cmd_discrepancy(args, parser) -> int:
 def _cmd_verify(args, parser) -> int:
     from .verify import max_n_limit, run_suite  # only this subcommand needs the suites
 
-    if args.max_n is not None and args.max_n < 0:
-        parser.error("--max-n must be non-negative")
     limit = max_n_limit(args.suite)
     if args.max_n is not None and args.max_n > limit:
         parser.error(f"--max-n for suite {args.suite} must be at most {limit}")
@@ -233,20 +239,22 @@ def build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--spec-file", help="path to a JSON spec document")
 
     p_series = sub.add_parser("series", parents=[spec], help="print exponent, cobordism data and series coefficients")
-    p_series.add_argument("--order", type=int, default=DEFAULT_ORDER, help=f"truncation order (default %(default)s, at most {MAX_ORDER})")
+    p_series.add_argument("--order", type=_int_in(0, MAX_ORDER), default=DEFAULT_ORDER,
+                          help=f"truncation order (default %(default)s, at most {MAX_ORDER})")
     p_series.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
     p_cob = sub.add_parser("cobordism", parents=[spec], help="decompose over the three generators")
     p_cob.add_argument("--format", choices=("tsv", "json"), default="json")
 
     p_disc = sub.add_parser("discrepancy", parents=[spec], help="per-size degrees t_k = K * lambda_k, in closed form")
-    p_disc.add_argument("--max-n", type=int, default=7, help=f"largest block size (default %(default)s, at most {MAX_ORDER})")
+    p_disc.add_argument("--max-n", type=_int_in(1, MAX_ORDER), default=7,
+                        help=f"largest block size (default %(default)s, at most {MAX_ORDER})")
     p_disc.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
     p_verify = sub.add_parser("verify", help="run a self-check suite")
     p_verify.add_argument("--suite", required=True,
                           choices=("macmahon", "lattice", "cobordism", "universality", "all"))
-    p_verify.add_argument("--max-n", type=int, default=None,
+    p_verify.add_argument("--max-n", type=_int_in(0), default=None,
                           help="size knob for the suite (per-suite default and upper bound)")
     p_verify.add_argument("--format", choices=("tsv", "json"), default="tsv")
 

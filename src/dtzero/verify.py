@@ -88,9 +88,9 @@ def _log_closed_form_failures(limit: int):
             yield f"q^{k}: series log {from_series[k]} vs closed form {closed}"
 
 
-def suite_macmahon(max_n: int | None = None) -> list[Check]:
+def suite_macmahon(max_n: int) -> list[Check]:
     # the knob never exceeds the largest size the enumeration oracle takes
-    limit = 12 if max_n is None else min(max_n, plane_partitions.ORACLE_BOUND)
+    limit = min(max_n, plane_partitions.ORACLE_BOUND)
     series = macmahon.macmahon_series(limit)
     twisted = macmahon.macmahon_neg(limit)
     return [
@@ -158,10 +158,9 @@ def _delta_multiplicativity_failures(size: int, trials: int, rng: random.Random)
             yield f"t = {t}"
 
 
-def suite_lattice(max_n: int | None = None) -> list[Check]:
+def suite_lattice(limit: int) -> list[Check]:
     # every check here is exponential in n; each piece caps the knob at the
     # largest size that stays interactive
-    limit = 5 if max_n is None else max_n
     rng = random.Random(_SEED)  # drawn by delta-inverts-summation, then delta-multiplicativity
     bell_limit = min(limit, 8)
     bells = _bell_numbers(bell_limit)
@@ -195,8 +194,7 @@ def _exponent_identity_failures(trials: int, rng: random.Random):
             yield f"exponent identity failed on {c}: {report.lhs} vs {report.rhs}"
 
 
-def suite_cobordism(max_n: int | None = None) -> list[Check]:
-    trials = 1000 if max_n is None else max_n
+def suite_cobordism(trials: int) -> list[Check]:
     gens = generator_chern_numbers()
     det = generator_determinant()
     dec = decompose(ChernNumbers(0, 0, -200))  # the quintic
@@ -220,8 +218,7 @@ def _reconstruction_failures(specs, order: int):
                 yield f"{spec.label()}: partition sum gives f_{n} = {rebuilt}, series says {series.series[n]}"
 
 
-def suite_universality(max_n: int | None = None) -> list[Check]:
-    limit = 7 if max_n is None else max_n
+def suite_universality(limit: int) -> list[Check]:
     specs = catalog()
     # the reconstruction enumerates whole partition lattices, so cap its size
     rebuild_limit = min(limit, 8)
@@ -244,10 +241,12 @@ SUITES = {
 }
 
 
-# Largest --max-n each suite accepts.  The macmahon and lattice suites clamp
-# their exponential pieces themselves; cobordism runs one random trial per
-# unit (about 0.6 ms each) and universality extracts degrees up to the knob
-# for every catalog threefold (about 4 s at 200).
+# Each suite's size when --max-n is not given, and the largest --max-n it
+# accepts.  The macmahon and lattice suites clamp their exponential pieces
+# themselves; cobordism runs one random trial per unit (about 0.6 ms each)
+# and universality extracts degrees up to the knob for every catalog
+# threefold (about 4 s at 200).
+_DEFAULT_N = {"macmahon": 12, "lattice": 5, "cobordism": 1000, "universality": 7}
 MAX_N = {"macmahon": 10_000, "lattice": 10_000, "cobordism": 10_000, "universality": 200}
 
 
@@ -266,9 +265,5 @@ def run_suite(name: str, max_n: int | None = None) -> list[Check]:
     limit = max_n_limit(name)
     if max_n is not None and _int(max_n, "max_n", 0) > limit:
         raise ValueError(f"max_n must be at most {limit} for suite {name}, got {_show(max_n)}")
-    if name == "all":
-        out = []
-        for suite in SUITES.values():
-            out.extend(suite(max_n))
-        return out
-    return SUITES[name](max_n)
+    names = SUITES if name == "all" else (name,)
+    return [check for suite in names for check in SUITES[suite](_DEFAULT_N[suite] if max_n is None else max_n)]

@@ -29,6 +29,7 @@ from dtzero.cli import (
     MAX_SPEC_FILE_CHARS,
     MAX_TWIST_EXPONENT,
     SpecDocumentError,
+    build_parser,
     main,
     parse_spec_document,
 )
@@ -270,8 +271,13 @@ def assert_one_error_line(capsys, argv, message):
 
 class TestSizeCaps:
     def test_series_order_cap(self, capsys):
-        assert_one_error_line(capsys, ["series", "--builtin", "P3", "--order", str(MAX_ORDER + 1)],
-                              f"--order must be at most {MAX_ORDER}")
+        with pytest.raises(SystemExit) as exc:
+            main(["series", "--builtin", "P3", "--order", str(MAX_ORDER + 1)])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        # the parser refuses the flag: the subcommand's usage, and no banner
+        assert captured.err.startswith("usage: dtzero series ")
+        assert captured.err.splitlines()[-1] == f"dtzero series: error: argument --order: must be at most {MAX_ORDER}"
 
     def test_series_order_at_cap_is_accepted(self, capsys):
         code, out, _ = run(capsys, "series", "--c111", "0", "--c12", "0", "--c3", "0",
@@ -281,7 +287,17 @@ class TestSizeCaps:
 
     def test_discrepancy_max_n_cap(self, capsys):
         assert_one_error_line(capsys, ["discrepancy", "--builtin", "P3", "--max-n", "100000"],
-                              f"--max-n must be at most {MAX_ORDER}")
+                              f"argument --max-n: must be at most {MAX_ORDER}")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["series", "--builtin", "P3", "--order", "-1"], "argument --order: must be at least 0"),
+        (["series", "--builtin", "P3", "--order", "x"], "argument --order: invalid int value: 'x'"),
+        (["discrepancy", "--builtin", "P3", "--max-n", "0"], "argument --max-n: must be at least 1"),
+        (["discrepancy", "--builtin", "P3", "--max-n", "1.5"], "argument --max-n: invalid int value: '1.5'"),
+        (["verify", "--suite", "macmahon", "--max-n", "x"], "argument --max-n: invalid int value: 'x'"),
+    ])
+    def test_size_flags_refuse_low_and_non_int_values(self, capsys, argv, message):
+        assert_one_error_line(capsys, argv, message)
 
     @pytest.mark.parametrize("suite", [*MAX_N, "all"])
     def test_verify_max_n_cap(self, capsys, suite):
@@ -290,9 +306,14 @@ class TestSizeCaps:
                               f"--max-n for suite {suite} must be at most {limit}")
 
     def test_caps_admit_every_suite_default(self):
-        # the sizes each suite runs when --max-n is not given
-        defaults = {"macmahon": 12, "lattice": 5, "cobordism": 1000, "universality": 7}
-        assert all(MAX_N[suite] >= size for suite, size in defaults.items())
+        assert set(verify._DEFAULT_N) == set(MAX_N) == set(verify.SUITES)
+        assert all(MAX_N[suite] >= size for suite, size in verify._DEFAULT_N.items())
+
+    def test_suite_choices_are_the_verify_suites(self):
+        # cli lists the names itself, since the series path must not import verify
+        subcommands = next(a for a in build_parser()._actions if a.dest == "command")
+        suite = next(a for a in subcommands.choices["verify"]._actions if a.dest == "suite")
+        assert tuple(suite.choices) == (*verify.SUITES, "all")
 
     @pytest.mark.parametrize("command", ["series", "cobordism", "discrepancy"])
     def test_twist_exponent_cap(self, capsys, command):
@@ -466,7 +487,7 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "macmahon", "--max-n", "-1"])
         assert exc.value.code == 2
-        assert "--max-n must be non-negative" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines()[-1] == "dtzero verify: error: argument --max-n: must be at least 0"
 
     @pytest.mark.parametrize("suite, skipped", [
         ("lattice", {"lattice/meet-join-axioms", "lattice/fiber-multiplicity-sum",

@@ -33,6 +33,17 @@ def test_dt_catalog():
     assert lines[-1] == "   lambda_k        1:-1 2:5 3:-20"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--order", "-1"), "--order must be non-negative"),
+    (("--max-k", "0"), "--max-k must be at least 1"),
+    (("--max-k", "-1"), "--max-k must be at least 1"),
+])
+def test_dt_catalog_refuses_bad_sizes(argv, message):
+    done = run("dt_catalog.py", *argv)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.splitlines()[-1].endswith(f"error: {message}")
+
+
 def test_qset_demo():
     lines = run_script("qset_demo.py", "--n", "3", "--samples", "20")
     assert lines[0] == "20 configurations of 3 points, seed 0"
