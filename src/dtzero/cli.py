@@ -10,12 +10,14 @@ whose stdout reader leaves early exits 141.
 
 import argparse
 import gc
+import math
 import os
+import re
 import sys
 from fractions import Fraction
 
 from . import __version__
-from ._values import _json_number
+from ._values import _json_number, _show
 from .chern import BUILTIN_THREEFOLDS, ChernNumbers, ThreefoldSpec, twist_exponent
 from .chern import MAX_SPEC_FILE_CHARS, SpecDocumentError, parse_spec_document
 from .cobordism import decompose, verify_exponent_identity
@@ -52,20 +54,45 @@ MAX_CHERN_NUMBER = 10**12
 # ---------------------------------------------------------------------------
 
 
-def _int_in(least: int, most: int | None = None):
-    """An argparse `type` for an int from `least` to `most`, or from `least` up
-    when `most` is None.  The parser refuses a value past a bound with usage,
-    before the banner; text that is no int stays an "invalid int value"."""
+def _int_in(least: int | None = None, most: int | None = None):
+    """An argparse `type` for an int from `least` to `most`, either bound None
+    for none.  The parser refuses a value past a bound with usage, before the
+    banner; text that is no int stays an "invalid int value".  An int too long
+    for int() to read (past Python's digit limit) is past any bound on its
+    side, and is refused by its length if that side has none.  Every message
+    echoes the text through _show, so it stays one short line."""
     def int_in(text: str) -> int:
-        value = int(text)
-        if value < least:
+        try:
+            value = int(text)
+        except ValueError:
+            if not re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", text):  # what int() reads, of any length
+                raise argparse.ArgumentTypeError(f"invalid int value: {_show(text)}") from None
+            value = -math.inf if "-" in text else math.inf
+        if least is not None and value < least:
             raise argparse.ArgumentTypeError(f"must be at least {least}")
         if most is not None and value > most:
             raise argparse.ArgumentTypeError(f"must be at most {most}")
+        if isinstance(value, float):
+            raise argparse.ArgumentTypeError(
+                f"must have at most {sys.get_int_max_str_digits()} digits, got {_show(text)}")
         return value
 
-    int_in.__name__ = "int"  # argparse names a type's ValueError by its __name__
     return int_in
+
+
+class _SuiteSize(argparse.Action):
+    """Stores `verify`'s --suite or --max-n, and refuses a --max-n past the
+    suite's cap once both are known, with `dtzero verify`'s usage and before
+    the banner, whichever flag comes first."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        if namespace.suite is not None and namespace.max_n is not None:
+            from .verify import max_n_limit  # only this subcommand needs the suites
+
+            limit = max_n_limit(namespace.suite)
+            if namespace.max_n > limit:
+                parser.error(f"--max-n for suite {namespace.suite} must be at most {limit}")
 
 
 def _threefold(args, parser: argparse.ArgumentParser) -> tuple[ThreefoldSpec, ChernNumbers]:
@@ -209,11 +236,8 @@ def _cmd_discrepancy(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    from .verify import max_n_limit, run_suite  # only this subcommand needs the suites
+    from .verify import run_suite  # only this subcommand needs the suites
 
-    limit = max_n_limit(args.suite)
-    if args.max_n is not None and args.max_n > limit:
-        parser.error(f"--max-n for suite {args.suite} must be at most {limit}")
     checks = run_suite(args.suite, args.max_n)
     if args.format == "json":
         _print_json({"suite": args.suite, "max_n": args.max_n, "checks": [check._asdict() for check in checks]})
@@ -232,10 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     spec = argparse.ArgumentParser(add_help=False)  # the spec flags of series, cobordism and discrepancy
     spec.add_argument("--builtin", help=f"named catalog threefold: {', '.join(sorted(BUILTIN_THREEFOLDS))}")
-    spec.add_argument("--c111", type=int, help="c1^3 of an explicit Chern triple")
-    spec.add_argument("--c12", type=int, help="c1c2 of an explicit Chern triple")
-    spec.add_argument("--c3", type=int, help="c3 of an explicit Chern triple")
-    spec.add_argument("--hypersurface-degree", type=int, help="degree of a hypersurface in P4")
+    spec.add_argument("--c111", type=_int_in(), help="c1^3 of an explicit Chern triple")
+    spec.add_argument("--c12", type=_int_in(), help="c1c2 of an explicit Chern triple")
+    spec.add_argument("--c3", type=_int_in(), help="c3 of an explicit Chern triple")
+    spec.add_argument("--hypersurface-degree", type=_int_in(), help="degree of a hypersurface in P4")
     spec.add_argument("--spec-file", help="path to a JSON spec document")
 
     p_series = sub.add_parser("series", parents=[spec], help="print exponent, cobordism data and series coefficients")
@@ -252,9 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_disc.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
     p_verify = sub.add_parser("verify", help="run a self-check suite")
-    p_verify.add_argument("--suite", required=True,
+    p_verify.add_argument("--suite", required=True, action=_SuiteSize,
                           choices=("macmahon", "lattice", "cobordism", "universality", "all"))
-    p_verify.add_argument("--max-n", type=_int_in(0), default=None,
+    p_verify.add_argument("--max-n", type=_int_in(0), default=None, action=_SuiteSize,
                           help="size knob for the suite (per-suite default and upper bound)")
     p_verify.add_argument("--format", choices=("tsv", "json"), default="tsv")
 

@@ -365,15 +365,24 @@ def _block_deviation_sq(block: frozenset[int], gaps: Mapping[tuple[int, int], Fr
     return sum((gaps[pair] for pair in combinations(sorted(block), 2)), Fraction(0)) / len(block)
 
 
-def _diagonal_distance_sq(p: SetPartition, gaps: Mapping, memo: dict) -> Fraction:
-    """strict_diagonal_distance_sq from the pair gaps, with per-block values
-    kept in `memo`."""
+def _within_radius(p: SetPartition, gaps: Mapping, memo: dict, radius_sq: Fraction) -> bool:
+    """Whether strict_diagonal_distance_sq(p, x) < radius_sq, from the pair
+    gaps of x, with per-block values kept in `memo`.
+
+    Only blocks of two or more points are summed, since a lone point is its
+    own mean.  Block deviations are non-negative, so the sum stops as soon as
+    it reaches `radius_sq`: the blocks after that one are not read, and a
+    block that no partition reaches is never computed.
+    """
     total = Fraction(0)
     for b in p.blocks:
-        if b not in memo:
-            memo[b] = _block_deviation_sq(b, gaps)
-        total += memo[b]
-    return total
+        if len(b) > 1:
+            if b not in memo:
+                memo[b] = _block_deviation_sq(b, gaps)
+            total += memo[b]
+            if total >= radius_sq:
+                return False
+    return True
 
 
 def strict_diagonal_distance_sq(p: SetPartition, x: PointConfig) -> Fraction:
@@ -387,7 +396,8 @@ def strict_diagonal_distance_sq(p: SetPartition, x: PointConfig) -> Fraction:
     square-root free.
     """
     _check_config(p, x)
-    return _diagonal_distance_sq(p, _pair_gaps_sq(x, p.blocks), {})
+    gaps = _pair_gaps_sq(x, p.blocks)
+    return sum((_block_deviation_sq(b, gaps) for b in p.blocks if len(b) > 1), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +454,12 @@ def classify_q_set(alpha: SetPartition, x: PointConfig, eps: EpsilonSchedule) ->
     gaps |x_i - x_j|^2 of the pairs inside alpha's blocks are computed once
     per call.  Each block's squared deviation from its mean is, by
     Lagrange's identity, (1/|b|) sum_{i<j in b} |x_i - x_j|^2: it is summed
-    from those gaps once per call, and each radius is computed once per
-    block count.  Several maximal candidates mean the schedule is too loose
-    for this configuration, which is an error, not a choice.
+    from those gaps at most once per call, and each radius is computed once
+    per block count.  A gamma's distance sums only its blocks of two or more
+    points, and stops at the first block that brings it to gamma's radius:
+    deviations are non-negative, so gamma is then no candidate.  Several
+    maximal candidates mean the schedule is too loose for this
+    configuration, which is an error, not a choice.
     """
     _check_config(alpha, x)
     ps = partitions(alpha.n)
@@ -461,7 +474,7 @@ def classify_q_set(alpha: SetPartition, x: PointConfig, eps: EpsilonSchedule) ->
         count = len(gamma.blocks)
         if count not in radii:
             radii[count] = eps.eps_sq(gamma)
-        if _diagonal_distance_sq(gamma, gaps, deviations) < radii[count]:
+        if _within_radius(gamma, gaps, deviations, radii[count]):
             candidates.append(i)
     covered = {j for i in candidates for j in down[i]}
     maximal = sorted(i for i in candidates if i not in covered)

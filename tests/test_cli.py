@@ -269,6 +269,11 @@ def assert_one_error_line(capsys, argv, message):
     assert len(errors) == 1 and errors[0].endswith(message)
 
 
+# an int of more digits than Python converts from text (4 300 by default)
+LONG = "9" * 5000
+TOO_LONG = f"must have at most {sys.get_int_max_str_digits()} digits, got "
+
+
 class TestSizeCaps:
     def test_series_order_cap(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -295,6 +300,16 @@ class TestSizeCaps:
         (["discrepancy", "--builtin", "P3", "--max-n", "0"], "argument --max-n: must be at least 1"),
         (["discrepancy", "--builtin", "P3", "--max-n", "1.5"], "argument --max-n: invalid int value: '1.5'"),
         (["verify", "--suite", "macmahon", "--max-n", "x"], "argument --max-n: invalid int value: 'x'"),
+        # an int of more digits than Python reads from text is past the flag's
+        # bound on its side, or else refused by its length; the echo is clipped
+        (["series", "--builtin", "P3", "--order", LONG], f"argument --order: must be at most {MAX_ORDER}"),
+        (["series", "--builtin", "P3", "--order", "-" + LONG], "argument --order: must be at least 0"),
+        (["series", "--c111", "0", "--c12", "0", "--c3", LONG], f"argument --c3: {TOO_LONG}'{'9' * 59}..."),
+        (["series", "--c111", "-" + LONG, "--c12", "0", "--c3", "0"], f"argument --c111: {TOO_LONG}'-{'9' * 58}..."),
+        (["series", "--hypersurface-degree", LONG], f"argument --hypersurface-degree: {TOO_LONG}'{'9' * 59}..."),
+        (["verify", "--suite", "lattice", "--max-n", LONG], f"argument --max-n: {TOO_LONG}'{'9' * 59}..."),
+        (["series", "--builtin", "P3", "--order", LONG + "x"], f"argument --order: invalid int value: '{'9' * 59}..."),
+        (["series", "--c3", "x"], "argument --c3: invalid int value: 'x'"),
     ])
     def test_size_flags_refuse_low_and_non_int_values(self, capsys, argv, message):
         assert_one_error_line(capsys, argv, message)
@@ -302,8 +317,17 @@ class TestSizeCaps:
     @pytest.mark.parametrize("suite", [*MAX_N, "all"])
     def test_verify_max_n_cap(self, capsys, suite):
         limit = max_n_limit(suite)
-        assert_one_error_line(capsys, ["verify", "--suite", suite, "--max-n", str(limit + 1)],
-                              f"--max-n for suite {suite} must be at most {limit}")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", suite, "--max-n", str(limit + 1)])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        # the verify subparser refuses it: its usage, and no banner
+        assert captured.err.startswith("usage: dtzero verify ")
+        assert captured.err.splitlines()[-1] == f"dtzero verify: error: --max-n for suite {suite} must be at most {limit}"
+
+    def test_verify_max_n_cap_before_suite(self, capsys):
+        assert_one_error_line(capsys, ["verify", "--max-n", "201", "--suite", "all"],
+                              "dtzero verify: error: --max-n for suite all must be at most 200")
 
     def test_caps_admit_every_suite_default(self):
         assert set(verify._DEFAULT_N) == set(MAX_N) == set(verify.SUITES)

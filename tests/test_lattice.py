@@ -27,6 +27,7 @@ from dtzero import (
 )
 
 from conftest import grid_configs, set_partitions
+from test_lattice_oracles import oracle_classify
 
 
 def P(n, *blocks):
@@ -380,6 +381,22 @@ class TestClassify:
         x = config(0, Fraction(1, 2), 1)
         with pytest.raises(InadmissibleScheduleError, match="inadmissible"):
             classify_q_set(SetPartition.whole(3), x, sched)
+
+    @pytest.mark.parametrize("points, expected", [
+        # 12: distance and radius both 1/2, and a neighborhood is open
+        ([(0, 0, 0), (1, 0, 0)], P(2, {1}, {2})),
+        # 12|34: the deviations 1/8 + 1/8 reach the radius 1/4 exactly at the
+        # last block, and 12|3|4, 1|2|34 sit on their radius 1/8
+        ([(0, 0, 0), (Fraction(1, 2), 0, 0), (10, 0, 0), (Fraction(21, 2), 0, 0)], P(4, {1}, {2}, {3}, {4})),
+        # 12|34: block 12 alone reaches the radius 1/4, before block 34
+        ([(0, 0, 0), (Fraction(1, 2), Fraction(1, 2), 0), (10, 0, 0), (Fraction(41, 4), 0, 0)],
+         P(4, {1}, {2}, {3, 4})),
+    ])
+    def test_distance_equal_to_radius_is_outside(self, points, expected):
+        x, sched = PointConfig(points), EpsilonSchedule(c_sq=1, ratio_sq=2)
+        top = SetPartition.whole(x.n)
+        assert oracle_classify(top, x, sched) == [expected]
+        assert classify_q_set(top, x, sched) == expected
 
     @given(st.integers(min_value=2, max_value=4).flatmap(
         lambda n: grid_configs(n)))

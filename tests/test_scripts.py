@@ -62,6 +62,7 @@ def test_qset_demo_grid_zero_puts_every_point_together():
     (("--samples", "0"), "--samples must be at least 1"),
     (("--samples", "-1"), "--samples must be at least 1"),
     (("--grid", "-1"), "--grid must be non-negative"),
+    (("--n", "10"), "--n must be at most 9"),  # the down-set table would hold 16 733 779 pairs
 ])
 def test_qset_demo_refuses_bad_sizes(argv, message):
     done = run("qset_demo.py", *argv)
